@@ -72,7 +72,9 @@ func TestObservedTraceRoundTripGate(t *testing.T) {
 }
 
 // TestObservedMetricsRecorded: loss accounting and flow verdicts land as
-// counters, identically at every worker count.
+// counters, and the router's counters do not depend on the worker count:
+// the tool fan-out owns the parallelism and every flow routes serially,
+// so nothing speculates at any worker count.
 func TestObservedMetricsRecorded(t *testing.T) {
 	render := func(workers int) string {
 		rec := obs.New(nil)
@@ -85,11 +87,32 @@ func TestObservedMetricsRecorded(t *testing.T) {
 		}
 		return buf.String()
 	}
+	// routeLines keeps the route.* lines. Scratch-pool reuse is left out:
+	// it counts sync.Pool hits, which depend on the Go scheduler and the
+	// garbage collector even on one worker.
+	routeLines := func(metrics string) string {
+		var out []string
+		for _, l := range strings.Split(metrics, "\n") {
+			if strings.Contains(l, " route.") && !strings.Contains(l, "route.bfs.scratch.reuse") {
+				out = append(out, l)
+			}
+		}
+		return strings.Join(out, "\n")
+	}
 	seq := render(1)
 	if !strings.Contains(seq, "counter backplane.flows.ok 3") {
 		t.Errorf("metrics missing flow verdicts:\n%s", seq)
 	}
 	if !strings.Contains(seq, "backplane.loss.dropped") || !strings.Contains(seq, "backplane.loss.degraded") {
 		t.Errorf("metrics missing loss accounting:\n%s", seq)
+	}
+	want := routeLines(seq)
+	for _, line := range []string{"counter route.spec.committed 0", "counter route.spec.recomputed 0"} {
+		if !strings.Contains(seq, line+"\n") {
+			t.Errorf("workers=1: metrics missing %q:\n%s", line, seq)
+		}
+	}
+	if got := routeLines(render(8)); got != want {
+		t.Errorf("route metrics depend on the worker count:\n--- workers=1\n%s\n--- workers=8\n%s", want, got)
 	}
 }

@@ -21,7 +21,7 @@ func (r *Recorder) Check() error {
 	defer r.mu.Unlock()
 	for i, s := range r.spans {
 		id := SpanID(i + 1)
-		if s.end < 0 {
+		if !s.ended {
 			return fmt.Errorf("span %d %q still open", id, s.name)
 		}
 		if s.end < s.start {

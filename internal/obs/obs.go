@@ -88,14 +88,17 @@ type SpanEvent struct {
 	HasVal bool
 }
 
-// span is one recorded interval. end == -1 while open. ceil is the
-// latest tick this span may occupy: math.MaxInt64 normally, or the end
-// of the nearest already-ended ancestor — a span opened after its
-// parent closed is pinned (degenerate) at the parent's end so the tree
-// can never violate nesting.
+// span is one recorded interval. ended reports whether it has closed;
+// until then end holds -1, which is only what exporters print for an
+// open span — ticks may legally be negative, so no tick value can mark
+// "open". ceil is the latest tick this span may occupy: math.MaxInt64
+// normally, or the end of the nearest already-ended ancestor — a span
+// opened after its parent closed is pinned (degenerate) at the parent's
+// end so the tree can never violate nesting.
 type span struct {
 	name   string
 	parent SpanID
+	ended  bool // sits in parent's padding, so a span is no larger
 	start  int64
 	end    int64
 	ceil   int64
@@ -158,7 +161,7 @@ func (r *Recorder) Start(parent SpanID, name string) SpanID {
 	ceil := int64(math.MaxInt64)
 	if p := r.spanAt(parent); p != nil {
 		ceil = p.ceil
-		if p.end >= 0 && p.end < ceil {
+		if p.ended && p.end < ceil {
 			ceil = p.end
 		}
 		if t < p.start {
@@ -188,14 +191,14 @@ func (r *Recorder) End(id SpanID) {
 
 func (r *Recorder) endLocked(id SpanID, t int64) {
 	s := r.spanAt(id)
-	if s == nil || s.end >= 0 {
+	if s == nil || s.ended {
 		return
 	}
 	// Descendants have larger ids (they started later); close open ones
 	// first, deepest first.
 	for i := len(r.spans); i > int(id); i-- {
 		d := &r.spans[i-1]
-		if d.end < 0 && r.isAncestor(id, SpanID(i)) {
+		if !d.ended && r.isAncestor(id, SpanID(i)) {
 			r.endLocked(SpanID(i), t)
 		}
 	}
@@ -214,6 +217,7 @@ func (r *Recorder) endLocked(id SpanID, t int64) {
 		}
 	}
 	s.end = end
+	s.ended = true
 	r.stamp(end)
 }
 
@@ -309,7 +313,7 @@ func (r *Recorder) Close() {
 	defer r.mu.Unlock()
 	t := r.clock.Ticks()
 	for i := range r.spans {
-		if r.spans[i].end < 0 {
+		if !r.spans[i].ended {
 			r.endLocked(SpanID(i+1), t)
 		}
 	}
@@ -345,7 +349,7 @@ func (r *Recorder) Merge(parent SpanID, child *Recorder) {
 			base = p.start
 		}
 		ceil = p.ceil
-		if p.end >= 0 && p.end < ceil {
+		if p.ended && p.end < ceil {
 			ceil = p.end
 		}
 	}

@@ -47,6 +47,12 @@ func randomTrace(rng *rand.Rand) *Recorder {
 	return r
 }
 
+// negativeTickSeeds drive randomTrace's clock below zero before spans
+// close. They once left such spans reading as still open, when "open"
+// was encoded as a negative end tick; both quick tests replay them
+// before their random sweep.
+var negativeTickSeeds = []int64{5057721981579251202, 3802840967619482397, 4402053868016804061}
+
 // TestQuickSpanInvariants: whatever the op/clock sequence, the recorded
 // tree is closed, has no end-before-start, and nests children strictly
 // inside their parents (the Check oracle).
@@ -58,6 +64,11 @@ func TestQuickSpanInvariants(t *testing.T) {
 			return false
 		}
 		return true
+	}
+	for _, seed := range negativeTickSeeds {
+		if !f(seed) {
+			t.Errorf("seed %d: span invariants broken", seed)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -80,6 +91,11 @@ func TestQuickMergePreservesInvariants(t *testing.T) {
 			return false
 		}
 		return true
+	}
+	for _, seed := range negativeTickSeeds {
+		if !f(seed) {
+			t.Errorf("seed %d: merged span invariants broken", seed)
+		}
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

@@ -207,7 +207,7 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 	// dimensions, and re-allocating O(grid) search scratch to reroute a
 	// handful of dirty nets would swamp the savings.
 	ng := &Grid{W: g.W, H: g.H, Pitch: g.Pitch, tab: g.tab.clone(),
-		plainBFS: opts.PlainBFS, pin: make([]bool, g.W*g.H), pools: g.pools}
+		plainBFS: opts.PlainBFS, pin: make([]uint8, g.W*g.H), pools: g.pools}
 	ng.own[0] = append([]int32(nil), g.own[0]...)
 	ng.own[1] = append([]int32(nil), g.own[1]...)
 	ng.observe(opts.Metrics)

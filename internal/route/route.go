@@ -133,7 +133,9 @@ type Grid struct {
 	Pitch int
 	tab   *internTable
 	own   [2][]int32
-	pin   []bool // pin landing cells (both layers), exempt from spacing
+	// pin holds per-cell pin flags (pinPad, pinNear) for both layers. Only
+	// reservePins writes it, so it is fixed for the whole of a Route.
+	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
 	// Speculative-commit write recording (armRecording in scratch.go):
@@ -161,11 +163,20 @@ func (g *Grid) observe(reg *obs.Registry) {
 	g.mScratchReuse = reg.Counter("route.bfs.scratch.reuse")
 }
 
+// Pin flags, one byte per cell of Grid.pin.
+const (
+	// pinPad marks a pin landing pad, exempt from spacing windows.
+	pinPad uint8 = 1 << iota
+	// pinNear marks a pad or a cell directly beside one: the cells the
+	// search charges the pin-adjacency cost.
+	pinNear
+)
+
 // NewGrid allocates a fabric covering the die.
 func NewGrid(die geom.Rect, pitch int) *Grid {
 	w := die.Dx()/pitch + 1
 	h := die.Dy()/pitch + 1
-	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]bool, w*h),
+	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]uint8, w*h),
 		pools: &gridPools{}}
 	for l := 0; l < 2; l++ {
 		g.own[l] = make([]int32, w*h)
@@ -178,7 +189,29 @@ func (g *Grid) isPin(x, y int) bool {
 	if x < 0 || y < 0 || x >= g.W || y >= g.H {
 		return false
 	}
-	return g.pin[y*g.W+x]
+	return g.pin[y*g.W+x]&pinPad != 0
+}
+
+// markPin flags an in-die cell as a pin pad and it and its four
+// neighbours as near a pin; pins outside the die mark nothing.
+func (g *Grid) markPin(x, y int) {
+	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+		return
+	}
+	i := y*g.W + x
+	g.pin[i] |= pinPad | pinNear
+	if x > 0 {
+		g.pin[i-1] |= pinNear
+	}
+	if x+1 < g.W {
+		g.pin[i+1] |= pinNear
+	}
+	if y > 0 {
+		g.pin[i-g.W] |= pinNear
+	}
+	if y+1 < g.H {
+		g.pin[i+g.W] |= pinNear
+	}
 }
 
 // Owner returns the occupant of a cell as a string; out-of-bounds and
@@ -393,8 +426,9 @@ func recordRouteMetrics(reg *obs.Registry, res *Result, nets, passes int) {
 	reg.Counter("route.shard.boundary").Add(int64(res.ShardBoundary))
 }
 
-// reservePins marks pin landing cells and reserves them with the pending
-// marker in canonical net order.
+// reservePins marks pin landing cells, with their pin adjacency, and
+// reserves them with the pending marker in canonical net order. It is the
+// only writer of Grid.pin.
 func reservePins(g *Grid, netPins map[string][]geom.Point) {
 	names := make([]string, 0, len(netPins))
 	for n := range netPins {
@@ -403,9 +437,7 @@ func reservePins(g *Grid, netPins map[string][]geom.Point) {
 	sort.Strings(names)
 	for _, n := range names {
 		for _, p := range netPins[n] {
-			if p.X >= 0 && p.Y >= 0 && p.X < g.W && p.Y < g.H {
-				g.pin[p.Y*g.W+p.X] = true
-			}
+			g.markPin(p.X, p.Y)
 			// Pins live on the horizontal layer only; the layer above
 			// stays routable for through-traffic.
 			if g.owner(0, p.X, p.Y) == cellEmpty {
@@ -908,7 +940,12 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 	if f.plain() {
 		viaCost, pinAdjCost = 1, 0
 	}
+	// Without a width or spacing window, usable only re-reads the cell the
+	// owner test below has just accepted, so it is called only when the
+	// rule needs one.
+	window := rule.WidthTracks > 1 || rule.SpacingTracks > 0
 	g := f.base()
+	pins := g.pin
 	w, h := f.size()
 	lsize := w * h
 	sc := g.getScratch()
@@ -964,14 +1001,16 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 					probe.Max.Y = nb.y
 				}
 				owner := f.owner(nb.l, nb.x, nb.y)
-				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && usable(f, sig, nb, rule)) {
+				// An accepted owner means nb is inside the die: every
+				// out-of-bounds cell reads as blocked.
+				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && (!window || usable(f, sig, nb, rule))) {
 					continue
 				}
 				step := 1
 				if nb.l != cur.l {
 					step = viaCost
 				}
-				if owner != sig && nearPin(f, nb) {
+				if owner != sig && pins[nb.y*w+nb.x]&pinNear != 0 {
 					step += pinAdjCost
 				}
 				nd := d + step
@@ -988,15 +1027,6 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 		}
 	}
 	return nil, probe, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
-}
-
-// nearPin reports whether a cell is a pin pad or directly adjacent to one.
-func nearPin(f fabric, n node) bool {
-	if f.isPin(n.x, n.y) {
-		return true
-	}
-	return f.isPin(n.x-1, n.y) || f.isPin(n.x+1, n.y) ||
-		f.isPin(n.x, n.y-1) || f.isPin(n.x, n.y+1)
 }
 
 // neighbor yields legal move t (0,1 = along the layer's direction, 2 =

@@ -239,3 +239,76 @@ func TestGridBounds(t *testing.T) {
 	}
 	g.set(0, -1, -1, x) // must not panic
 }
+
+// TestPinAdjacencyAtBorders: the pin-adjacency flag reservePins stores
+// per cell must agree with the reference router's five-probe refNearPin
+// on every cell, for pins on each corner, on each edge and outside the
+// die — on a fresh grid and on the grid replayIncremental clones. The
+// random designs of the equivalence suites rarely put pins on the border.
+func TestPinAdjacencyAtBorders(t *testing.T) {
+	die := geom.R(0, 0, 100, 60) // 11×7 cells at pitch 10
+	opts := Options{Pitch: 10}
+	d := &phys.Design{Die: die}
+	const w, h = 11, 7
+	cases := []struct {
+		name string
+		pins map[string][]geom.Point
+	}{
+		{"corner-origin", map[string][]geom.Point{"a": {geom.Pt(0, 0)}}},
+		{"corner-x-max", map[string][]geom.Point{"a": {geom.Pt(w-1, 0)}}},
+		{"corner-y-max", map[string][]geom.Point{"a": {geom.Pt(0, h-1)}}},
+		{"corner-far", map[string][]geom.Point{"a": {geom.Pt(w-1, h-1)}}},
+		{"edge-bottom", map[string][]geom.Point{"a": {geom.Pt(5, 0)}}},
+		{"edge-top", map[string][]geom.Point{"a": {geom.Pt(5, h-1)}}},
+		{"edge-left", map[string][]geom.Point{"a": {geom.Pt(0, 3)}}},
+		{"edge-right", map[string][]geom.Point{"a": {geom.Pt(w-1, 3)}}},
+		{"outside-left", map[string][]geom.Point{"a": {geom.Pt(-1, 3)}}},
+		{"outside-right", map[string][]geom.Point{"a": {geom.Pt(w, 3)}}},
+		{"outside-below", map[string][]geom.Point{"a": {geom.Pt(5, -1)}}},
+		{"outside-above", map[string][]geom.Point{"a": {geom.Pt(5, h)}}},
+		{"outside-corners", map[string][]geom.Point{"a": {geom.Pt(-1, -1), geom.Pt(w, h)}}},
+		{"all-corners-two-nets", map[string][]geom.Point{
+			"a": {geom.Pt(0, 0), geom.Pt(w-1, h-1)},
+			"b": {geom.Pt(w-1, 0), geom.Pt(0, h-1)},
+		}},
+		{"adjacent-pads", map[string][]geom.Point{
+			"a": {geom.Pt(0, 1), geom.Pt(1, 1)},
+			"b": {geom.Pt(0, 2), geom.Pt(-1, 2)},
+		}},
+	}
+	// The clone's source grid reserves different, interior pins: none of
+	// its flags may survive into the clone.
+	stale := map[string][]geom.Point{"z": {geom.Pt(4, 3), geom.Pt(6, 3), geom.Pt(5, 5)}}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ref := refFreshGrid(d, opts, c.pins)
+			check := func(kind string, g *Grid) {
+				t.Helper()
+				if g.W != w || g.H != h {
+					t.Fatalf("%s grid is %d×%d, want %d×%d", kind, g.W, g.H, w, h)
+				}
+				for y := -1; y <= h; y++ {
+					for x := -1; x <= w; x++ {
+						if got, want := g.isPin(x, y), ref.isPin(x, y); got != want {
+							t.Errorf("%s grid: isPin(%d,%d) = %v, want %v", kind, x, y, got, want)
+						}
+						if x < 0 || y < 0 || x >= w || y >= h {
+							continue
+						}
+						got := g.pin[y*w+x]&pinNear != 0
+						if want := refNearPin(ref, node{0, x, y}); got != want {
+							t.Errorf("%s grid: near-pin flag at (%d,%d) = %v, want %v", kind, x, y, got, want)
+						}
+					}
+				}
+			}
+			check("fresh", freshGrid(d, opts, c.pins))
+			prev := &Result{grid: freshGrid(d, opts, stale)}
+			res, escalate, fallback := replayIncremental(prev, map[string]bool{}, nil, c.pins, map[string]int{}, opts)
+			if res == nil || len(escalate) > 0 || fallback != "" {
+				t.Fatalf("replayIncremental: escalate %v, fallback %q", escalate, fallback)
+			}
+			check("replay clone", res.grid)
+		})
+	}
+}
