@@ -11,15 +11,15 @@ GO ?= go
 RACE_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./... | grep 'cadinterop/internal/par' | cut -d' ' -f1)
 RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/internal/obs cadinterop/internal/memo cadinterop/internal/journal
 
-# Benchmarks aggregated into BENCH_PR7.json: the PR 2 sweep, the scale
-# trajectory (streaming interchange, end-to-end route, sharded batch
-# formation — the last lives in ./internal/route), and the repeat-work
-# pair (incremental reroute, warm flow cache) whose reroute-frac and
-# hit-rate ride along under "extra". Override BENCH / BENCH_COUNT for a
-# quicker or broader sweep; BASELINE defaults to the previous PR's
-# committed numbers so per-metric deltas land in the report.
-BENCH ?= BenchmarkRouteParallel|BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkShardBatchFormation|BenchmarkRouteIncremental|BenchmarkFlowCacheWarm
-BENCH_PKGS ?= . ./internal/route
+# Benchmarks aggregated into BENCH_PR7.json, all in the root package: the
+# PR 2 sweep, the scale trajectory (streaming interchange, end-to-end
+# serial route), and the repeat-work pair (incremental reroute, warm flow
+# cache) whose reroute-frac and hit-rate ride along under "extra".
+# Override BENCH / BENCH_COUNT for a quicker or broader sweep; BASELINE
+# defaults to the previous PR's committed numbers so per-metric deltas
+# land in the report.
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkRouteIncremental|BenchmarkFlowCacheWarm
+BENCH_PKGS ?= .
 BENCH_COUNT ?= 5
 BENCH_OUT ?= BENCH_PR7.json
 BASELINE ?= BENCH_PR6.json

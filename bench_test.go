@@ -433,41 +433,6 @@ func BenchmarkBackplaneFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteParallel measures the speculative parallel router against
-// its own sequential mode on a congested design with rule-carrying nets.
-// Output is byte-identical either way (TestRouteParallelEquivalence).
-func BenchmarkRouteParallel(b *testing.B) {
-	d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
-		Cells: 48, Seed: 7, CriticalNets: 4, Keepouts: 2})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := place.Place(d, place.Options{Seed: 5}); err != nil {
-		b.Fatal(err)
-	}
-	rules := make(map[string]route.Rule, len(fp.NetRules))
-	for _, r := range fp.NetRules {
-		w := max(r.WidthTracks, 1)
-		rules[r.Net] = route.Rule{WidthTracks: w, SpacingTracks: r.SpacingTracks, Shield: r.Shield}
-	}
-	for _, v := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 1},
-		{"parallel", 0},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := route.Route(d, route.Options{
-					Pitch: 5, Rules: rules, Workers: v.workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkObsOverhead measures the observability layer against the same
 // workload with it off. The disabled sub-benchmarks are the regression
 // reference: instrumentation compiles to nil-receiver no-ops when no
@@ -584,12 +549,9 @@ func BenchmarkExchangeScale(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteScale measures the router per net at three design sizes:
-// serial, single-region speculative (8 workers), and sharded speculative
-// (8 workers, 4×4 regions). Output is byte-identical across all three
-// (TestScaleShardedRoute, E16). single-region vs sharded isolates what the
-// region grid buys at the same worker count; BenchmarkShardBatchFormation
-// in internal/route measures that admission step alone.
+// BenchmarkRouteScale measures the router per net at three design sizes.
+// The sub-benchmarks keep their "/serial" suffix so recorded baselines
+// (BENCH_PR6.json, BENCH_PR7.json) stay comparable.
 func BenchmarkRouteScale(b *testing.B) {
 	for _, cells := range []int{48, 96, 192} {
 		d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
@@ -605,29 +567,20 @@ func BenchmarkRouteScale(b *testing.B) {
 			rules[r.Net] = route.Rule{
 				WidthTracks: max(r.WidthTracks, 1), SpacingTracks: r.SpacingTracks, Shield: r.Shield}
 		}
-		probe, err := route.Route(d, route.Options{Pitch: 5, Rules: rules, Workers: 1})
+		opts := route.Options{Pitch: 5, Rules: rules}
+		probe, err := route.Route(d, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		nets := len(probe.Segments) + len(probe.Failed)
-		for _, v := range []struct {
-			name            string
-			workers, shards int
-		}{
-			{"serial", 1, 1},
-			{"single-region", 8, 1},
-			{"sharded", 8, 4},
-		} {
-			b.Run(fmt.Sprintf("cells=%d/%s", cells, v.name), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := route.Route(d, route.Options{
-						Pitch: 5, Rules: rules, Workers: v.workers, Shards: v.shards}); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("cells=%d/serial", cells), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := route.Route(d, opts); err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nets), "ns/net")
-			})
-		}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nets), "ns/net")
+		})
 	}
 }
 
@@ -669,7 +622,7 @@ func BenchmarkRouteIncremental(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		opts := route.Options{Pitch: 10, Workers: 1}
+		opts := route.Options{Pitch: 10}
 		prev, err := route.Route(d, opts)
 		if err != nil {
 			b.Fatal(err)

@@ -26,7 +26,6 @@ type config struct {
 	tool        string
 	printLoss   bool
 	jobs        int
-	shards      int
 	roundTrip   bool
 	traceFile   string
 	metricsFile string
@@ -41,7 +40,6 @@ func main() {
 	flag.StringVar(&cfg.tool, "tool", "", "run only one tool dialect (toolP|toolQ|toolR)")
 	flag.BoolVar(&cfg.printLoss, "loss", false, "print the full loss report")
 	flag.IntVar(&cfg.jobs, "j", 0, "worker count (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.shards, "shards", 0, "with -check: group the file list into this many contiguous work shards per scheduling unit (0 = one per file)")
 	flag.StringVar(&cfg.traceFile, "trace", "", "write the span trace to this file (.json = Chrome trace, .jsonl = JSON lines, else text tree)")
 	flag.StringVar(&cfg.metricsFile, "metrics", "", "write the metrics registry to this file as text")
 	flag.BoolVar(&cfg.roundTrip, "roundtrip", false, "gate each dialect's flow on an exchange round-trip integrity check")
@@ -96,7 +94,7 @@ func runCheck(cfg config, files []string, lenient, stream bool) error {
 	if cerr != nil {
 		return cerr
 	}
-	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs, Shards: cfg.shards, Stream: stream}
+	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs, Stream: stream}
 	err := serve.Check(context.Background(), os.Stdout, req, cache)
 	if cfg.metricsFile != "" {
 		if werr := rec.WriteMetricsFile(cfg.metricsFile); werr != nil && err == nil {

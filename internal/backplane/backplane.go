@@ -372,11 +372,7 @@ func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 		Pitch:    5, // half the layer pitch: room for width/spacing rules
 		Rules:    in.RouteRules,
 		Keepouts: in.Keepouts,
-		// Parallelism lives in the tool fan-out; the speculative router
-		// measured slower than a serial route even with the CPUs to
-		// itself (DESIGN.md §5a).
-		Workers: 1,
-		Metrics: reg,
+		Metrics:  reg,
 	})
 	if err != nil {
 		rec.End(rsp)

@@ -40,9 +40,9 @@ func flowKey(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 
 // flowFingerprint canonicalizes every flow input other than the netlist:
 // design frame, floorplan intent, library content, tool dialect, placement
-// seed, and the interchange-gate setting. Concurrency knobs (Workers,
-// Shards) and observability handles are excluded — the flow's result is
-// byte-identical across them by construction.
+// seed, and the interchange-gate setting. The fan-out's worker count and
+// observability handles are excluded — the flow's result is byte-identical
+// across them by construction.
 func flowFingerprint(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64, roundTrip bool) string {
 	f := memo.NewFP("backplane.Flow/v1")
 	f.Int("seed", int(seed))
@@ -197,10 +197,10 @@ func fpLibrary(f *memo.FP, lib *phys.Library) {
 }
 
 // cachedRoute is the subset of route.Result every flow consumer reads.
-// Routed geometry (Segments) and speculation/shard counters are
-// intentionally absent: the former would dominate entry size for numbers
-// nothing downstream of RunFlows uses, the latter are observability-only
-// and excluded from the identity bar.
+// Routed geometry (Segments) and the incremental path's observability
+// fields are intentionally absent: the former would dominate entry size
+// for numbers nothing downstream of RunFlows uses, the latter are excluded
+// from the identity bar.
 type cachedRoute struct {
 	Wirelength  int
 	Vias        int

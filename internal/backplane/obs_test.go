@@ -72,9 +72,9 @@ func TestObservedTraceRoundTripGate(t *testing.T) {
 }
 
 // TestObservedMetricsRecorded: loss accounting and flow verdicts land as
-// counters, and the router's counters do not depend on the worker count:
-// the tool fan-out owns the parallelism and every flow routes serially,
-// so nothing speculates at any worker count.
+// counters, and every router counter is deterministic: two renders at one
+// worker and one at eight agree line for line, because every flow routes
+// serially and no counter tracks scheduling or pool reuse.
 func TestObservedMetricsRecorded(t *testing.T) {
 	render := func(workers int) string {
 		rec := obs.New(nil)
@@ -87,13 +87,10 @@ func TestObservedMetricsRecorded(t *testing.T) {
 		}
 		return buf.String()
 	}
-	// routeLines keeps the route.* lines. Scratch-pool reuse is left out:
-	// it counts sync.Pool hits, which depend on the Go scheduler and the
-	// garbage collector even on one worker.
 	routeLines := func(metrics string) string {
 		var out []string
 		for _, l := range strings.Split(metrics, "\n") {
-			if strings.Contains(l, " route.") && !strings.Contains(l, "route.bfs.scratch.reuse") {
+			if strings.Contains(l, " route.") {
 				out = append(out, l)
 			}
 		}
@@ -107,10 +104,16 @@ func TestObservedMetricsRecorded(t *testing.T) {
 		t.Errorf("metrics missing loss accounting:\n%s", seq)
 	}
 	want := routeLines(seq)
-	for _, line := range []string{"counter route.spec.committed 0", "counter route.spec.recomputed 0"} {
-		if !strings.Contains(seq, line+"\n") {
-			t.Errorf("workers=1: metrics missing %q:\n%s", line, seq)
+	if want == "" {
+		t.Fatalf("metrics carry no route counters:\n%s", seq)
+	}
+	for _, gone := range []string{" route.spec.", " route.shard."} {
+		if strings.Contains(seq, gone) {
+			t.Errorf("workers=1: metrics still carry %q counters:\n%s", gone, seq)
 		}
+	}
+	if got := routeLines(render(1)); got != want {
+		t.Errorf("route metrics differ between two serial runs:\n--- first\n%s\n--- second\n%s", want, got)
 	}
 	if got := routeLines(render(8)); got != want {
 		t.Errorf("route metrics depend on the worker count:\n--- workers=1\n%s\n--- workers=8\n%s", want, got)

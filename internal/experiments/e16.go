@@ -7,26 +7,20 @@ import (
 
 	"cadinterop/internal/diag"
 	"cadinterop/internal/exchange"
-	"cadinterop/internal/geom"
-	"cadinterop/internal/place"
-	"cadinterop/internal/route"
 	"cadinterop/internal/workgen"
 )
 
-// E16Scale measures the two mechanisms this repo relies on past ~10⁵ nets:
-// the streaming interchange reader (bounded parse window instead of a
-// whole-file buffer) and sharded region routing (regional admission checks
-// instead of all-pairs). Part 1 pipes workgen's streaming emitter straight
-// into the streaming reader — the file never exists in memory — and
-// reports the parse-window high-water mark against the input size, plus an
-// equality verdict against the buffered reader where the buffered side is
-// cheap enough to run. Part 2 routes the same placed design serially and
-// sharded and reports the batch composition with a byte-equality verdict.
-// Every number is a count, size or ratio — no timing — so the report is
-// byte-identical at any worker count; ns/net lives in the benchmark suite
-// (BenchmarkExchangeScale, BenchmarkRouteScale) and BENCH_PR6.json.
+// E16Scale measures the mechanism this repo relies on past ~10⁵ nets: the
+// streaming interchange reader, with a bounded parse window instead of a
+// whole-file buffer. It pipes workgen's streaming emitter straight into
+// the streaming reader — the file never exists in memory — and reports the
+// parse-window high-water mark against the input size, plus an equality
+// verdict against the buffered reader where the buffered side is cheap
+// enough to run. Every number is a count, size or ratio — no timing — so
+// the report is byte-identical at any worker count; ns/net lives in the
+// benchmark suite (BenchmarkExchangeScale) and BENCH_PR6.json.
 func E16Scale() (*Report, error) {
-	r := &Report{ID: "E16", Title: "scale: streaming interchange window and sharded routing (seed 16)"}
+	r := &Report{ID: "E16", Title: "scale: streaming interchange window (seed 16)"}
 
 	r.addf("streaming interchange: emitter piped to reader, no materialized file")
 	r.addf("%8s %10s %8s %9s %7s %9s %10s", "nets", "bytes", "window", "win/input", "diags", "manifest", "vs-buffer")
@@ -72,60 +66,5 @@ func E16Scale() (*Report, error) {
 			100*float64(stats.MaxWindow)/float64(info.Bytes),
 			diag.Count(diags, diag.Error), manifest, verdict)
 	}
-
-	r.addf("")
-	r.addf("sharded routing: batch admission composition, 8 workers")
-	r.addf("%6s %7s %8s %6s %7s %9s %9s %10s", "cells", "shards", "wirelen", "vias", "failed", "interior", "boundary", "vs-serial")
-	for _, cells := range []int{32, 64} {
-		d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
-			Cells: cells, Seed: 16, CriticalNets: 3, Keepouts: 1})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := place.Place(d, place.Options{Seed: 5}); err != nil {
-			return nil, err
-		}
-		rules := make(map[string]route.Rule, len(fp.NetRules))
-		for _, rr := range fp.NetRules {
-			rules[rr.Net] = route.Rule{
-				WidthTracks: max(rr.WidthTracks, 1), SpacingTracks: rr.SpacingTracks, Shield: rr.Shield}
-		}
-		var kos []geom.Rect
-		for _, k := range fp.Keepouts {
-			kos = append(kos, k.Rect)
-		}
-		routeWith := func(workers, shards int) (*route.Result, error) {
-			return route.Route(d, route.Options{
-				Pitch: 5, Rules: rules, Keepouts: kos, Workers: workers, Shards: shards})
-		}
-		ref, err := routeWith(1, 1)
-		if err != nil {
-			return nil, err
-		}
-		for _, shards := range []int{1, 2, 4} {
-			res, err := routeWith(8, shards)
-			if err != nil {
-				return nil, err
-			}
-			verdict := "identical"
-			if !routedEqual(ref, res) {
-				verdict = "DIVERGED"
-			}
-			r.addf("%6d %6dx%d %8d %6d %7d %9d %9d %10s",
-				cells, shards, shards, res.Wirelength, res.Vias, len(res.Failed),
-				res.ShardInterior, res.ShardBoundary, verdict)
-		}
-	}
 	return r, nil
-}
-
-// routedEqual compares the routed output proper — everything except the
-// speculation/sharding observability counters, which legitimately vary
-// with batch formation while the routing never does.
-func routedEqual(a, b *route.Result) bool {
-	return reflect.DeepEqual(a.Segments, b.Segments) &&
-		a.Wirelength == b.Wirelength && a.Vias == b.Vias &&
-		reflect.DeepEqual(a.Failed, b.Failed) &&
-		reflect.DeepEqual(a.FailReasons, b.FailReasons) &&
-		a.ShieldLen == b.ShieldLen
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"reflect"
 
 	"cadinterop/internal/backplane"
 	"cadinterop/internal/floorplan"
@@ -19,7 +20,7 @@ import (
 // memoization (part 2). Part 1 nudges one instance of a sparse pre-placed
 // design and reports how many nets the incremental router actually ripped
 // up versus the design total, with a byte-equality verdict against the
-// full reroute at several worker/shard settings. Part 2 runs the same
+// full reroute. Part 2 runs the same
 // backplane fan-out twice through one cache and reports tool executions
 // and hit rate per pass — the warm pass must execute zero tools while
 // reproducing the cold results. Every number is a count or ratio — no
@@ -30,16 +31,14 @@ func E17Memoization() (*Report, error) {
 	r := &Report{ID: "E17", Title: "memoization: incremental reroute O(dirty) and warm-cache flow reruns"}
 
 	r.addf("incremental reroute: one-pair nudge on a sparse k×k pair grid")
-	r.addf("%4s %6s %9s %8s %9s %10s %10s", "k", "nets", "rerouted", "kept", "fallback", "w×s", "vs-full")
+	r.addf("%4s %6s %9s %8s %9s %10s", "k", "nets", "rerouted", "kept", "fallback", "vs-full")
 	for _, k := range []int{3, 4} {
 		d, err := workgen.SparsePairs(k)
 		if err != nil {
 			return nil, err
 		}
-		opts := func(workers, shards int) route.Options {
-			return route.Options{Pitch: 10, Workers: workers, Shards: shards}
-		}
-		prev, err := route.Route(d, opts(1, 1))
+		opts := route.Options{Pitch: 10}
+		prev, err := route.Route(d, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -58,29 +57,26 @@ func E17Memoization() (*Report, error) {
 			return nil, err
 		}
 		dirty := old.Union(nu)
-		full, err := route.Route(d, opts(1, 1))
+		full, err := route.Route(d, opts)
 		if err != nil {
 			return nil, err
 		}
 		total := 3 * k * k
-		for _, ws := range [][2]int{{1, 1}, {8, 1}, {8, 4}} {
-			inc, err := route.RouteIncremental(prev, d, dirty, opts(ws[0], ws[1]))
-			if err != nil {
-				return nil, err
-			}
-			fallback := inc.IncrementalFallback
-			if fallback == "" {
-				fallback = "-"
-			}
-			verdict := "identical"
-			if !routedEqual(full, inc) {
-				verdict = "DIVERGED"
-			}
-			r.addf("%4d %6d %9d %7d%% %9s %10s %10s",
-				k, total, len(inc.ReroutedNets),
-				100*(total-len(inc.ReroutedNets))/total, fallback,
-				fmt.Sprintf("%dx%d", ws[0], ws[1]), verdict)
+		inc, err := route.RouteIncremental(prev, d, dirty, opts)
+		if err != nil {
+			return nil, err
 		}
+		fallback := inc.IncrementalFallback
+		if fallback == "" {
+			fallback = "-"
+		}
+		verdict := "identical"
+		if !routedEqual(full, inc) {
+			verdict = "DIVERGED"
+		}
+		r.addf("%4d %6d %9d %7d%% %9s %10s",
+			k, total, len(inc.ReroutedNets),
+			100*(total-len(inc.ReroutedNets))/total, fallback, verdict)
 	}
 
 	r.addf("")
@@ -126,4 +122,16 @@ func E17Memoization() (*Report, error) {
 			pass, execs, hits, 100*cache.HitRate(), results[0].Route.Wirelength, verdict)
 	}
 	return r, nil
+}
+
+// routedEqual compares the routed output proper — everything except the
+// incremental path's observability fields (ReroutedNets,
+// IncrementalFallback), which describe how a result was produced, not
+// what was routed.
+func routedEqual(a, b *route.Result) bool {
+	return reflect.DeepEqual(a.Segments, b.Segments) &&
+		a.Wirelength == b.Wirelength && a.Vias == b.Vias &&
+		reflect.DeepEqual(a.Failed, b.Failed) &&
+		reflect.DeepEqual(a.FailReasons, b.FailReasons) &&
+		a.ShieldLen == b.ShieldLen
 }

@@ -420,13 +420,9 @@ func TestE16(t *testing.T) {
 	}
 	joined := strings.Join(r.Lines, "\n")
 	// Every equality verdict must hold: streaming parse vs buffered parse,
-	// parsed elements vs manifest, sharded route vs serial route.
+	// parsed elements vs manifest.
 	if strings.Contains(joined, "DIVERGED") || strings.Contains(joined, "MISMATCH") {
 		t.Fatalf("equivalence verdict failed:\n%s", joined)
-	}
-	// Sharded rows must actually exercise regional admission.
-	if !strings.Contains(joined, "2x2") || !strings.Contains(joined, "4x4") {
-		t.Fatalf("sharded rows missing:\n%s", joined)
 	}
 	// Determinism: byte-identical on a second run (window high-water
 	// included — the pipe delivers the same read sizes every time).

@@ -23,7 +23,7 @@ func TestFilesOptsWarmCacheIdentical(t *testing.T) {
 			t.Fatalf("%s cold: hits=%d misses=%d", mode, cache.Hits(), cache.Misses())
 		}
 		var warm strings.Builder
-		warmErr := FilesOpts(&warm, paths, Options{Mode: mode, Jobs: 4, Shards: 3, Cache: cache})
+		warmErr := FilesOpts(&warm, paths, Options{Mode: mode, Jobs: 4, Cache: cache})
 		if cache.Hits() != int64(len(paths)) {
 			t.Errorf("%s warm hits = %d, want %d", mode, cache.Hits(), len(paths))
 		}

@@ -37,11 +37,6 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Output order and every verdict are
 	// identical at any setting.
 	Jobs int
-	// Shards groups the file list into this many contiguous work shards;
-	// a shard is one scheduling unit for the pool. 0 (the default) means
-	// one shard per file. Purely a granularity knob — output never
-	// changes.
-	Shards int
 	// Stream selects the streaming readers for the formats that have one
 	// (exchange, cadence; viewlogic always streams), so large files are
 	// vetted in bounded memory instead of being read whole. On well-formed
@@ -158,28 +153,20 @@ func Files(w io.Writer, paths []string, mode diag.Mode) error {
 	return FilesOpts(w, paths, Options{Mode: mode, Jobs: 1})
 }
 
-// FilesOpts is Files under the full option set: the path list is split
-// into Options.Shards contiguous groups and the groups are vetted across
-// Options.Jobs workers. Each file's rendered block — diagnostics followed
-// by its verdict line — is buffered per file and printed in path order,
-// so the output and the returned (lowest-path) error are byte-identical
-// at every Jobs and Shards setting.
+// FilesOpts is Files under the full option set: the files are vetted
+// across Options.Jobs workers, one job per file. Each file's rendered
+// block — diagnostics followed by its verdict line — is buffered per file
+// and printed in path order, so the output and the returned (lowest-path)
+// error are byte-identical at every Jobs setting.
 func FilesOpts(w io.Writer, paths []string, opts Options) error {
 	type outcome struct {
 		text string
 		err  error
 	}
-	shards := opts.Shards
-	if shards <= 0 || shards > len(paths) {
-		shards = len(paths)
-	}
 	vetted := make([]outcome, len(paths))
-	par.ForEach(shards, func(s int) error {
-		lo, hi := s*len(paths)/shards, (s+1)*len(paths)/shards
-		for i := lo; i < hi; i++ {
-			text, err := vetFile(paths[i], opts)
-			vetted[i] = outcome{text, err}
-		}
+	par.ForEach(len(paths), func(i int) error {
+		text, err := vetFile(paths[i], opts)
+		vetted[i] = outcome{text, err}
 		return nil
 	}, par.Workers(opts.Jobs))
 	var firstErr error

@@ -78,8 +78,8 @@ func writeCorpus(t *testing.T) []string {
 }
 
 func TestFilesOptsIdenticalAcrossKnobs(t *testing.T) {
-	// Jobs and Shards are pure scheduling knobs: for a fixed (Mode, Stream)
-	// the rendered output and returned error never change. Stream picks a
+	// Jobs is a pure scheduling knob: for a fixed (Mode, Stream) the
+	// rendered output and returned error never change. Stream picks a
 	// different reader, so it gets its own reference run.
 	paths := writeCorpus(t)
 	for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
@@ -87,17 +87,15 @@ func TestFilesOptsIdenticalAcrossKnobs(t *testing.T) {
 			var ref strings.Builder
 			refErr := FilesOpts(&ref, paths, Options{Mode: mode, Jobs: 1, Stream: streaming})
 			for _, jobs := range []int{1, 4, 8} {
-				for _, shards := range []int{0, 1, 3, 100} {
-					var sb strings.Builder
-					err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs, Shards: shards, Stream: streaming})
-					if sb.String() != ref.String() {
-						t.Fatalf("%s jobs=%d shards=%d stream=%v output diverged:\n--- ref ---\n%s--- got ---\n%s",
-							mode, jobs, shards, streaming, ref.String(), sb.String())
-					}
-					if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-						t.Fatalf("%s jobs=%d shards=%d stream=%v err = %v, want %v",
-							mode, jobs, shards, streaming, err, refErr)
-					}
+				var sb strings.Builder
+				err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs, Stream: streaming})
+				if sb.String() != ref.String() {
+					t.Fatalf("%s jobs=%d stream=%v output diverged:\n--- ref ---\n%s--- got ---\n%s",
+						mode, jobs, streaming, ref.String(), sb.String())
+				}
+				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+					t.Fatalf("%s jobs=%d stream=%v err = %v, want %v",
+						mode, jobs, streaming, err, refErr)
 				}
 			}
 		}

@@ -11,8 +11,8 @@ import (
 // FP builds a canonical options fingerprint: a sha256 over a stream of
 // named, quoted fields. Call sites list exactly the fields that affect the
 // tool's output — in a fixed order, with maps pre-sorted — and leave out
-// everything that must not invalidate the cache (worker counts, shard
-// counts, metrics registries, trace recorders). Field names and %q quoting
+// everything that must not invalidate the cache (worker counts, metrics
+// registries, trace recorders). Field names and %q quoting
 // frame every value, so no two distinct field sequences can collide by
 // concatenation, and a later schema change (adding a field) changes every
 // fingerprint — which is the safe failure mode: stale entries miss.

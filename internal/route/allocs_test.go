@@ -64,7 +64,7 @@ func TestInternGrowAllocs(t *testing.T) {
 	}
 }
 
-// TestSpecViewAllocs: leasing, using and returning a speculative view must
+// TestSpecViewAllocs: leasing, using and returning a recording view must
 // not allocate once the pool is warm — overlays and read footprints are
 // epoch-reset, not rebuilt.
 func TestSpecViewAllocs(t *testing.T) {

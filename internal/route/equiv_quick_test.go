@@ -10,11 +10,34 @@ import (
 	"cadinterop/internal/workgen"
 )
 
+// routedView is the comparable part of a Result.
+type routedView struct {
+	Segments    map[string][]Segment
+	Wirelength  int
+	Vias        int
+	Failed      []string
+	FailReasons []string
+	ShieldLen   int
+	Audit       []Violation
+}
+
+func view(res *Result, rules map[string]Rule) routedView {
+	return routedView{
+		Segments:    res.Segments,
+		Wirelength:  res.Wirelength,
+		Vias:        res.Vias,
+		Failed:      res.Failed,
+		FailReasons: res.FailReasons,
+		ShieldLen:   res.ShieldLen,
+		Audit:       Audit(res, rules),
+	}
+}
+
 // TestQuickRouterEquivalence: property test that the interned-ID router is
 // byte-identical to the retained string-reference implementation
 // (refroute_test.go) on random workgen designs — segments, wirelength,
 // vias, failures, shield length, the full DRC audit, and every decoded
-// grid cell — across Workers(1)/(8) and shard grids 1×1, 2×2 and 4×4.
+// grid cell.
 func TestQuickRouterEquivalence(t *testing.T) {
 	prop := func(seed uint16, cells, crit, kos uint8) bool {
 		c := workgen.PhysOptions{
@@ -42,10 +65,8 @@ func TestQuickRouterEquivalence(t *testing.T) {
 		for _, k := range fp.Keepouts {
 			kosR = append(kosR, k.Rect)
 		}
-		opts := func(workers, shards int) Options {
-			return Options{Pitch: 5, Rules: rules, Keepouts: kosR, Workers: workers, Shards: shards}
-		}
-		ref, err := refRoute(d, opts(1, 1))
+		opts := Options{Pitch: 5, Rules: rules, Keepouts: kosR}
+		ref, err := refRoute(d, opts)
 		if err != nil {
 			t.Fatalf("refRoute %+v: %v", c, err)
 		}
@@ -58,34 +79,28 @@ func TestQuickRouterEquivalence(t *testing.T) {
 			ShieldLen:   ref.ShieldLen,
 			Audit:       refAudit(ref, rules),
 		}
-		for _, workers := range []int{1, 8} {
-			for _, shards := range []int{1, 2, 4} {
-				got, err := Route(d, opts(workers, shards))
-				if err != nil {
-					t.Fatalf("Route %+v workers=%d shards=%d: %v", c, workers, shards, err)
-				}
-				if gv := view(got, rules); !reflect.DeepEqual(gv, want) {
-					t.Logf("case %+v workers=%d shards=%d diverges from string reference:\nref: %+v\ngot: %+v",
-						c, workers, shards, want, gv)
-					return false
-				}
-				// Every decoded cell of the interned grid must match the
-				// string grid exactly — markers, sentinels and all.
-				g, rg := got.grid, ref.grid
-				if g.W != rg.W || g.H != rg.H {
-					t.Logf("case %+v workers=%d shards=%d: grid size %dx%d vs ref %dx%d",
-						c, workers, shards, g.W, g.H, rg.W, rg.H)
-					return false
-				}
-				for l := 0; l < 2; l++ {
-					for y := 0; y < g.H; y++ {
-						for x := 0; x < g.W; x++ {
-							if g.Owner(l, x, y) != rg.owner(l, x, y) {
-								t.Logf("case %+v workers=%d shards=%d: cell (%d,%d,%d) = %q, ref %q",
-									c, workers, shards, l, x, y, g.Owner(l, x, y), rg.owner(l, x, y))
-								return false
-							}
-						}
+		got, err := Route(d, opts)
+		if err != nil {
+			t.Fatalf("Route %+v: %v", c, err)
+		}
+		if gv := view(got, rules); !reflect.DeepEqual(gv, want) {
+			t.Logf("case %+v diverges from string reference:\nref: %+v\ngot: %+v", c, want, gv)
+			return false
+		}
+		// Every decoded cell of the interned grid must match the string
+		// grid exactly — markers, sentinels and all.
+		g, rg := got.grid, ref.grid
+		if g.W != rg.W || g.H != rg.H {
+			t.Logf("case %+v: grid size %dx%d vs ref %dx%d", c, g.W, g.H, rg.W, rg.H)
+			return false
+		}
+		for l := 0; l < 2; l++ {
+			for y := 0; y < g.H; y++ {
+				for x := 0; x < g.W; x++ {
+					if g.Owner(l, x, y) != rg.owner(l, x, y) {
+						t.Logf("case %+v: cell (%d,%d,%d) = %q, ref %q",
+							c, l, x, y, g.Owner(l, x, y), rg.owner(l, x, y))
+						return false
 					}
 				}
 			}

@@ -9,12 +9,11 @@ import (
 
 // Fingerprint canonicalizes the options that affect routed output into a
 // memo cache key component (DESIGN.md §5h). Two Options values that route
-// any design identically must hash equal, so everything the byte-identity
-// guarantee already quotients out is omitted: Workers and Shards (the
-// result is byte-identical at every setting) and Metrics (observability
-// only). Pitch is normalized the way Route normalizes it, keepouts are
-// sorted (blocking is an idempotent set operation), and SkipNets hashes as
-// the set of true keys.
+// any design identically must hash equal, so the fields that cannot affect
+// routing are omitted: Workers (deprecated and ignored) and Metrics
+// (observability only). Pitch is normalized the way Route normalizes it,
+// keepouts are sorted (blocking is an idempotent set operation), and
+// SkipNets hashes as the set of true keys.
 func (o Options) Fingerprint() string {
 	f := memo.NewFP("route.Options/v1")
 	pitch := o.Pitch

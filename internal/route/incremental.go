@@ -45,9 +45,6 @@ import (
 //     a recording view. If a search reads a cell owned by a net that
 //     routes later in canonical order — state a full run would not have
 //     produced yet — that net is ripped up too and the replay retries.
-//     Workers/Shards are ignored on this path: full Route is
-//     byte-identical at every setting, so the serial replay matches all
-//     of them.
 //   - After replay, a rerouted net's new write box must not touch the read
 //     box of any survivor positioned after it in the new order (such a
 //     survivor's search would have observed the new wires in a full
@@ -269,9 +266,8 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 		res.setProbe(n, prev.probe[n])
 	}
 
-	// Reroute the dirty nets serially in new canonical order on recording
-	// views, committing each onto the live grid exactly as the speculative
-	// committer does.
+	// Reroute the dirty nets in new canonical order on recording views,
+	// committing each onto the live grid once its reads prove sound.
 	var escalate []string
 	flagged := make(map[string]bool)
 	for _, net := range reroute {
@@ -299,14 +295,8 @@ func replayIncremental(prev *Result, dirtyNets map[string]bool, reroute []string
 			return nil, nil, "read-unknown-net"
 		}
 		escalate = append(escalate, later...)
-		commitSpec(ng, res, net, sig, newPins[net], &speculation{paths: paths, probe: probe, view: v}, rule)
+		commitPaths(ng, res, net, sig, newPins[net], paths, probe, rule)
 		ng.putView(v)
-		if len(res.Failed) > 0 {
-			if len(escalate) > 0 {
-				return nil, escalate, ""
-			}
-			return nil, nil, "reroute-failed"
-		}
 	}
 	if len(escalate) > 0 {
 		return nil, escalate, ""

@@ -86,8 +86,8 @@ func (c *designCase) moveInstance(t *testing.T, pick int, dx, dy int) (geom.Rect
 	return old.Union(nu), true
 }
 
-func (c *designCase) opts(workers, shards int) Options {
-	return Options{Pitch: 5, Rules: c.rules, Keepouts: c.keepouts, Workers: workers, Shards: shards}
+func (c *designCase) opts() Options {
+	return Options{Pitch: 5, Rules: c.rules, Keepouts: c.keepouts}
 }
 
 // checkIncrementalIdentity routes the edited design both ways and demands
@@ -122,15 +122,16 @@ func checkIncrementalIdentity(t *testing.T, c *designCase, inc, full *Result, la
 }
 
 // TestQuickIncrementalEquivalence: property test that RouteIncremental is
-// byte-identical to a full Route after a random single-instance move, at
-// Workers(1)/(8) and shard grids 1×1, 2×2, 4×4, including a second chained
-// edit on top of the incremental result. Fallback cases count as passes
+// byte-identical to a full Route after a random single-instance move,
+// including a second chained edit on top of the incremental result. Every
+// net the replay reroutes is committed by commitPaths, so this also pins
+// the commit path against the full router. Fallback cases count as passes
 // only because they literally run the full router; the incremental path
 // itself is pinned non-vacuous by TestIncrementalPathRuns.
 func TestQuickIncrementalEquivalence(t *testing.T) {
 	prop := func(seed uint16, cells, crit, kos, pick, move uint8) bool {
 		c, _ := incrementalCase(t, 8+int(cells)%25, int(crit)%5, int(kos)%3, int64(seed))
-		prev, err := Route(c.d, c.opts(1, 1))
+		prev, err := Route(c.d, c.opts())
 		if err != nil {
 			t.Fatalf("full route: %v", err)
 		}
@@ -144,35 +145,29 @@ func TestQuickIncrementalEquivalence(t *testing.T) {
 			if !ok {
 				return true
 			}
-			full, err := Route(c.d, c.opts(1, 1))
+			full, err := Route(c.d, c.opts())
 			if err != nil {
 				t.Fatalf("full route after edit: %v", err)
 			}
-			var inc *Result
-			for _, workers := range []int{1, 8} {
-				for _, shards := range []int{1, 2, 4} {
-					r, err := RouteIncremental(prev, c.d, dirty, c.opts(workers, shards))
-					if err != nil {
-						t.Fatalf("RouteIncremental workers=%d shards=%d: %v", workers, shards, err)
-					}
-					if !checkIncrementalIdentity(t, c, r, full, "edit") {
+			inc, err := RouteIncremental(prev, c.d, dirty, c.opts())
+			if err != nil {
+				t.Fatalf("RouteIncremental: %v", err)
+			}
+			if !checkIncrementalIdentity(t, c, inc, full, "edit") {
+				return false
+			}
+			// The incremental path must only ever reroute nets — survivors
+			// keep their exact segment slices.
+			if inc.IncrementalFallback == "" {
+				rr := make(map[string]bool, len(inc.ReroutedNets))
+				for _, n := range inc.ReroutedNets {
+					rr[n] = true
+				}
+				for n := range prev.Segments {
+					if !rr[n] && len(inc.Segments[n]) != len(prev.Segments[n]) {
+						t.Logf("survivor %s segments changed", n)
 						return false
 					}
-					// The incremental path must only ever reroute nets —
-					// survivors keep their exact segment slices.
-					if r.IncrementalFallback == "" {
-						rr := make(map[string]bool, len(r.ReroutedNets))
-						for _, n := range r.ReroutedNets {
-							rr[n] = true
-						}
-						for n := range prev.Segments {
-							if !rr[n] && len(r.Segments[n]) != len(prev.Segments[n]) {
-								t.Logf("survivor %s segments changed", n)
-								return false
-							}
-						}
-					}
-					inc = r
 				}
 			}
 			prev = inc // chain the next edit on the incremental result
@@ -239,8 +234,8 @@ func sparsePairs(t *testing.T, k int) *designCase {
 	return &designCase{d: d}
 }
 
-func (c *designCase) sparseOpts(workers, shards int) Options {
-	return Options{Pitch: 10, Workers: workers, Shards: shards}
+func (c *designCase) sparseOpts() Options {
+	return Options{Pitch: 10}
 }
 
 // TestIncrementalPathRuns: on a sparse design with a one-pair nudge the
@@ -249,7 +244,7 @@ func (c *designCase) sparseOpts(workers, shards int) Options {
 // non-vacuous.
 func TestIncrementalPathRuns(t *testing.T) {
 	c := sparsePairs(t, 3)
-	prev, err := Route(c.d, c.sparseOpts(1, 1))
+	prev, err := Route(c.d, c.sparseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,28 +266,23 @@ func TestIncrementalPathRuns(t *testing.T) {
 	}
 	dirty := old.Union(nu)
 
-	full, err := Route(c.d, c.sparseOpts(1, 1))
+	full, err := Route(c.d, c.sparseOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			inc, err := RouteIncremental(prev, c.d, dirty, c.sparseOpts(workers, shards))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if inc.IncrementalFallback != "" {
-				t.Fatalf("workers=%d shards=%d: incremental path fell back: %s",
-					workers, shards, inc.IncrementalFallback)
-			}
-			if len(inc.ReroutedNets) == 0 || len(inc.ReroutedNets) >= len(prev.order)/2 {
-				t.Fatalf("rerouted %d of %d nets (%v), want a small nonempty subset",
-					len(inc.ReroutedNets), len(prev.order), inc.ReroutedNets)
-			}
-			if !checkIncrementalIdentity(t, c, inc, full, "nudge") {
-				t.Fatal("incremental result diverges from full route")
-			}
-		}
+	inc, err := RouteIncremental(prev, c.d, dirty, c.sparseOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.IncrementalFallback != "" {
+		t.Fatalf("incremental path fell back: %s", inc.IncrementalFallback)
+	}
+	if len(inc.ReroutedNets) == 0 || len(inc.ReroutedNets) >= len(prev.order)/2 {
+		t.Fatalf("rerouted %d of %d nets (%v), want a small nonempty subset",
+			len(inc.ReroutedNets), len(prev.order), inc.ReroutedNets)
+	}
+	if !checkIncrementalIdentity(t, c, inc, full, "nudge") {
+		t.Fatal("incremental result diverges from full route")
 	}
 }
 
@@ -300,11 +290,11 @@ func TestIncrementalPathRuns(t *testing.T) {
 // named fallback and still produce a byte-identical (full-route) result.
 func TestIncrementalFallbacks(t *testing.T) {
 	c, _ := incrementalCase(t, 20, 2, 1, 3)
-	prev, err := Route(c.d, c.opts(1, 1))
+	prev, err := Route(c.d, c.opts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Route(c.d, c.opts(1, 1))
+	full, err := Route(c.d, c.opts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +306,10 @@ func TestIncrementalFallbacks(t *testing.T) {
 		opts   Options
 		reason string
 	}{
-		{"nil prev", nil, c.opts(1, 1), "no-previous"},
-		{"foreign result", &Result{}, c.opts(1, 1), "no-previous"},
+		{"nil prev", nil, c.opts(), "no-previous"},
+		{"foreign result", &Result{}, c.opts(), "no-previous"},
 		{"options changed", prev, func() Options {
-			o := c.opts(1, 1)
+			o := c.opts()
 			o.PlainBFS = true
 			return o
 		}(), "options-changed"},
@@ -327,12 +317,12 @@ func TestIncrementalFallbacks(t *testing.T) {
 			r := *prev
 			r.pass0 = false
 			return &r
-		}(), c.opts(1, 1), "prev-not-canonical"},
+		}(), c.opts(), "prev-not-canonical"},
 		{"failed prev", func() *Result {
 			r := *prev
 			r.Failed = []string{"x"}
 			return &r
-		}(), c.opts(1, 1), "prev-had-failures"},
+		}(), c.opts(), "prev-had-failures"},
 	}
 	for _, tc := range cases {
 		got, err := RouteIncremental(tc.prev, c.d, dirty, tc.opts)
@@ -350,9 +340,73 @@ func TestIncrementalFallbacks(t *testing.T) {
 	}
 }
 
+// TestSpecViewSemantics: a recording view must mask its own writes,
+// record only fall-through reads, and mirror the live grid's out-of-bounds
+// behaviour.
+func TestSpecViewSemantics(t *testing.T) {
+	g := NewGrid(geom.R(0, 0, 100, 100), 10)
+	a := g.tab.intern("a")
+	b := g.tab.intern("b")
+	x := g.tab.intern("x")
+	g.set(0, 3, 3, a)
+	v := newSpecView(g)
+	if v.owner(0, -1, 0) != cellBlocked {
+		t.Error("out-of-bounds should read blocked")
+	}
+	if len(v.reads) != 0 {
+		t.Error("out-of-bounds reads must not be recorded")
+	}
+	if v.owner(0, 3, 3) != a {
+		t.Error("fall-through read broken")
+	}
+	if len(v.reads) != 1 {
+		t.Errorf("reads = %d, want 1", len(v.reads))
+	}
+	v.set(0, 3, 3, b)
+	if v.owner(0, 3, 3) != b {
+		t.Error("overlay write not visible to the view")
+	}
+	if g.Owner(0, 3, 3) != "a" {
+		t.Error("overlay write leaked to the live grid")
+	}
+	if len(v.reads) != 1 {
+		t.Error("overlay hits must not be recorded as reads")
+	}
+	v.set(1, -5, 0, x) // must not panic or corrupt the overlay
+	if v.owner(1, 0, 0) != cellEmpty {
+		t.Error("out-of-bounds overlay write corrupted a real cell")
+	}
+}
+
+// TestSpecViewReuse: a view leased back from the pool must forget its
+// previous overlay and read footprint entirely — the epoch bump must be as
+// good as a fresh allocation.
+func TestSpecViewReuse(t *testing.T) {
+	g := NewGrid(geom.R(0, 0, 100, 100), 10)
+	a := g.tab.intern("a")
+	v := newSpecView(g)
+	v.set(0, 2, 2, a)
+	v.owner(1, 7, 7)
+	if len(v.reads) != 1 {
+		t.Fatalf("reads = %d, want 1", len(v.reads))
+	}
+	g.putView(v)
+	v2 := newSpecView(g)
+	if v2 != v {
+		t.Skip("pool did not return the same view; nothing to check")
+	}
+	if len(v2.reads) != 0 {
+		t.Error("recycled view kept its read footprint")
+	}
+	if v2.owner(0, 2, 2) != cellEmpty {
+		t.Error("recycled view kept a stale overlay write")
+	}
+}
+
 // TestOptionsFingerprint: table-driven stability contract for the route
-// options fingerprint — ignored knobs (Workers, Shards, Metrics, rule map
-// insertion order, keepout order, false SkipNets entries) must hash equal;
+// options fingerprint — ignored fields (the deprecated Workers, Metrics,
+// rule map insertion order, keepout order, false SkipNets entries) must
+// hash equal;
 // every semantic flip must miss (ISSUE 7 satellite).
 func TestOptionsFingerprint(t *testing.T) {
 	base := func() Options {
@@ -370,7 +424,6 @@ func TestOptionsFingerprint(t *testing.T) {
 
 	equal := map[string]Options{
 		"workers": func() Options { o := base(); o.Workers = 8; return o }(),
-		"shards":  func() Options { o := base(); o.Shards = 4; return o }(),
 		"metrics": func() Options { o := base(); o.Metrics = obs.NewRegistry(); return o }(),
 		"keepout order": func() Options {
 			o := base()

@@ -11,12 +11,10 @@ package route
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"cadinterop/internal/geom"
 	"cadinterop/internal/obs"
-	"cadinterop/internal/par"
 	"cadinterop/internal/phys"
 )
 
@@ -47,26 +45,15 @@ type Options struct {
 	// pin-adjacent cells cost the same as open fabric) — the ablation knob
 	// for the router's key design choice.
 	PlainBFS bool
-	// Workers bounds the speculative-search worker pool of the multi-pass
-	// rip-up loop. 0 means GOMAXPROCS; 1 forces the serial reference path.
-	// The routed result is byte-identical at every setting: parallel
-	// searches commit in canonical net order and any speculation invalidated
-	// by an earlier commit is recomputed on the live grid.
+	// Workers is ignored: Route always routes serially, and callers that
+	// want parallelism fan out over independent designs instead.
+	//
+	// Deprecated: the next benchmark change removes it.
 	Workers int
-	// Shards splits the grid into Shards×Shards rectangular regions for
-	// speculative batch formation (shard.go): nets whose rule-expanded pin
-	// bounding box fits inside one region are admitted against that region
-	// alone, so large designs form bigger batches with cheaper admission
-	// checks. 0 or 1 disables sharding; it has no effect when Workers == 1.
-	// Sharding only changes how batches are formed — commits still follow
-	// canonical net order — so the routed result stays byte-identical to
-	// the sequential router at every Shards setting.
-	Shards int
 	// Metrics, when non-nil, receives router counters: nets routed/failed,
-	// rip-up passes, speculative commit/recompute outcomes, bfs searches and
-	// scratch-pool reuse. Counts tied to speculation scheduling (spec.*,
-	// bfs.*) vary with Workers; the routed result never does. Nil costs one
-	// nil check per increment (DESIGN.md §5f).
+	// rip-up passes and bfs searches. Every count is a function of the
+	// design and options alone. Nil costs one nil check per increment
+	// (DESIGN.md §5f).
 	Metrics *obs.Registry
 }
 
@@ -84,21 +71,9 @@ type Result struct {
 	Failed      []string
 	FailReasons []string
 	ShieldLen   int
-	// SpecCommitted / SpecRecomputed count speculative searches that
-	// committed verbatim vs. were invalidated by an earlier commit and
-	// recomputed; both stay 0 on the sequential path. Observability only:
-	// routed output never depends on them.
-	SpecCommitted  int
-	SpecRecomputed int
-	// ShardInterior / ShardBoundary count batch admissions of nets whose
-	// rule-expanded pin box fit inside one shard region vs crossed a seam;
-	// both stay 0 unless Options.Shards > 1 and the parallel path runs.
-	// Observability only, and deterministic for fixed Options.
-	ShardInterior int
-	ShardBoundary int
 	// ReroutedNets lists, in canonical order, the nets RouteIncremental
 	// actually ripped up and rerouted; nil for a full Route. Observability
-	// only: excluded from the byte-identity bar like the counters above.
+	// only: excluded from the byte-identity bar.
 	ReroutedNets []string
 	// IncrementalFallback names the soundness condition that forced
 	// RouteIncremental down the full-Route path ("" = the incremental path
@@ -138,29 +113,20 @@ type Grid struct {
 	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
-	// Speculative-commit write recording (armRecording in scratch.go):
-	// while armed, every in-bounds set stamps its cell so the committer of
-	// a speculative batch can invalidate later speculations whose searches
-	// read those cells.
-	recording   bool
-	recordEpoch uint32
-	recordStamp []uint32
-	// Pools of search scratch and speculative views sized for this grid;
+	// Pools of search scratch and recording views sized for this grid;
 	// steady-state routing leases and returns the same buffers instead of
 	// allocating per net (DESIGN.md §5c). Held by pointer so the
 	// incremental replay's same-sized clone can share its source grid's
 	// warm pool instead of re-allocating O(grid) scratch for a handful of
 	// dirty nets.
 	pools *gridPools
-	// Pre-resolved search counters (nil when Options.Metrics is unset).
-	mSearches     *obs.Counter
-	mScratchReuse *obs.Counter
+	// Pre-resolved search counter (nil when Options.Metrics is unset).
+	mSearches *obs.Counter
 }
 
-// observe resolves the grid's search counters from reg (nil = disabled).
+// observe resolves the grid's search counter from reg (nil = disabled).
 func (g *Grid) observe(reg *obs.Registry) {
 	g.mSearches = reg.Counter("route.bfs.searches")
-	g.mScratchReuse = reg.Counter("route.bfs.scratch.reuse")
 }
 
 // Pin flags, one byte per cell of Grid.pin.
@@ -234,9 +200,6 @@ func (g *Grid) set(layer, x, y int, id int32) {
 	if x < 0 || y < 0 || x >= g.W || y >= g.H {
 		return
 	}
-	if g.recording {
-		g.recordStamp[(layer*g.H+y)*g.W+x] = g.recordEpoch
-	}
 	g.own[layer][y*g.W+x] = id
 }
 
@@ -245,7 +208,7 @@ func (g *Grid) plain() bool      { return g.plainBFS }
 func (g *Grid) base() *Grid      { return g }
 
 // fabric is the grid surface the search phase runs against: the live Grid
-// during sequential routing and commits, or a specView during speculation.
+// during routing and commits, or a specView during the incremental replay.
 // All cell traffic is interned IDs; strings exist only at the package
 // boundary.
 type fabric interface {
@@ -420,10 +383,6 @@ func recordRouteMetrics(reg *obs.Registry, res *Result, nets, passes int) {
 	reg.Counter("route.nets.routed").Add(int64(nets - len(res.Failed)))
 	reg.Counter("route.nets.failed").Add(int64(len(res.Failed)))
 	reg.Counter("route.ripup.passes").Add(int64(passes))
-	reg.Counter("route.spec.committed").Add(int64(res.SpecCommitted))
-	reg.Counter("route.spec.recomputed").Add(int64(res.SpecRecomputed))
-	reg.Counter("route.shard.interior").Add(int64(res.ShardInterior))
-	reg.Counter("route.shard.boundary").Add(int64(res.ShardBoundary))
 }
 
 // reservePins marks pin landing cells, with their pin adjacency, and
@@ -470,141 +429,14 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes every net in order on the given fabric. With more than
-// one worker it speculates: a batch of upcoming nets with pairwise-disjoint
-// (rule-expanded) pin bounding boxes searches concurrently against the
-// current grid, then commits strictly in canonical net order; any
-// speculation whose read footprint overlaps a cell written by an earlier
-// commit of the same batch is discarded and recomputed on the live grid.
-// The routed result is therefore byte-identical to the sequential router's
-// at any worker count.
+// routeAll routes every net in order on the live grid, booking failures.
 func routeAll(g *Grid, res *Result, order []string, netPins map[string][]geom.Point, opts Options) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || len(order) < 2 {
-		for _, net := range order {
-			routeOne(g, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net]))
-		}
-		return
-	}
-	// Region sharding: cheaper admission checks and a batch cap that grows
-	// with the region count, so large grids keep every worker fed.
-	batchCap := 4 * workers
-	var sm *shardMap
-	if opts.Shards > 1 {
-		sm = newShardMap(g.W, g.H, opts.Shards)
-		if c := sm.s * sm.s; c > batchCap {
-			batchCap = c
+	for _, net := range order {
+		if err := routeNet(g, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
+			res.Failed = append(res.Failed, net)
+			res.FailReasons = append(res.FailReasons, err.Error())
 		}
 	}
-	for start := 0; start < len(order); {
-		var batch []string
-		if sm != nil {
-			var ni, nb int
-			batch, ni, nb = sm.nextBatch(order[start:], netPins, opts, batchCap)
-			res.ShardInterior += ni
-			res.ShardBoundary += nb
-		} else {
-			batch = nextBatch(order[start:], netPins, opts, batchCap)
-		}
-		start += len(batch)
-		if len(batch) == 1 {
-			routeOne(g, res, batch[0], g.tab.intern(batch[0]), netPins[batch[0]], normRule(opts.Rules[batch[0]]))
-			continue
-		}
-		// Intern the whole batch before fanning out: the intern table is
-		// written only from the committer's goroutine.
-		sigs := make([]int32, len(batch))
-		for j, net := range batch {
-			sigs[j] = g.tab.intern(net)
-		}
-		specs := make([]*speculation, len(batch))
-		par.ForEach(len(batch), func(j int) error {
-			v := newSpecView(g)
-			net := batch[j]
-			paths, probe, err := netPaths(v, sigs[j], netPins[net], normRule(opts.Rules[net]))
-			specs[j] = &speculation{paths: paths, probe: probe, err: err, view: v}
-			return nil
-		}, par.Workers(workers))
-		g.armRecording()
-		for j, net := range batch {
-			rule := normRule(opts.Rules[net])
-			if sp := specs[j]; !g.conflictsWith(sp.view.reads) {
-				res.SpecCommitted++
-				commitSpec(g, res, net, sigs[j], netPins[net], sp, rule)
-			} else {
-				// Stale speculation: an earlier commit touched fabric this
-				// search observed. Recompute on the live grid — the slow
-				// path the sequential router always takes.
-				res.SpecRecomputed++
-				routeOne(g, res, net, sigs[j], netPins[net], rule)
-			}
-			g.putView(specs[j].view)
-		}
-		g.disarmRecording()
-	}
-}
-
-// routeOne routes a single net on the live grid and books failures.
-func routeOne(g *Grid, res *Result, net string, sig int32, pins []geom.Point, rule Rule) {
-	if err := routeNet(g, res, net, sig, pins, rule); err != nil {
-		res.Failed = append(res.Failed, net)
-		res.FailReasons = append(res.FailReasons, err.Error())
-	}
-}
-
-// speculation is one net's search run against a stale grid snapshot.
-type speculation struct {
-	paths [][]node
-	probe geom.Rect
-	err   error
-	view  *specView
-}
-
-// nextBatch returns the longest contiguous prefix (capped at max) of the
-// remaining order whose nets have pairwise-disjoint pin bounding boxes,
-// each expanded by the net's rule reach (width, spacing, shield) plus a
-// detour margin. Disjointness is only a speculation-success heuristic —
-// correctness comes from the committer's footprint check — but commits
-// must follow canonical order, so the batch stops at the first overlap.
-func nextBatch(rest []string, netPins map[string][]geom.Point, opts Options, max int) []string {
-	if max > len(rest) {
-		max = len(rest)
-	}
-	boxes := make([]geom.Rect, 0, max)
-	n := 0
-	for n < max {
-		r := normRule(opts.Rules[rest[n]])
-		box := pinBBox(netPins[rest[n]]).Expand(ruleMargin(r))
-		clash := false
-		for _, b := range boxes {
-			if box.Overlaps(b) {
-				clash = true
-				break
-			}
-		}
-		if clash {
-			break
-		}
-		boxes = append(boxes, box)
-		n++
-	}
-	if n == 0 {
-		n = 1
-	}
-	return rest[:n]
-}
-
-// ruleMargin is the bounding-box expansion batch formation applies to a
-// net: detour slack plus the rule's reach (width, spacing, shield).
-func ruleMargin(r Rule) int {
-	m := 2 + r.WidthTracks + r.SpacingTracks
-	if r.Shield {
-		m++
-	}
-	return m
 }
 
 // pinBBox is the bounding box of a net's pins in grid coordinates.
@@ -627,32 +459,17 @@ func pinBBox(pins []geom.Point) geom.Rect {
 	return r
 }
 
-// commitSpec replays a clean speculation onto the live grid: the claims the
-// search made on its overlay land on real fabric in canonical order, then
-// shields and clearance halos grow exactly as the sequential router would
-// have grown them at this point in the order.
-func commitSpec(g *Grid, res *Result, net string, sig int32, pins []geom.Point, sp *speculation, rule Rule) {
-	pinRule := Rule{WidthTracks: 1}
-	claim(g, sig, node{0, pins[0].X, pins[0].Y}, pinRule)
-	for _, path := range sp.paths {
-		for i, n := range path {
-			switch {
-			case i == 0:
-				// success cell: already owned by the net
-			case i == len(path)-1:
-				claim(g, sig, n, pinRule)
-			default:
-				claim(g, sig, n, rule)
-			}
-		}
+// commitPaths replays a successful search made on a view onto the live
+// grid: its claims land on real fabric, then shields and clearance halos
+// grow exactly as routeNet would have grown them at this point in the
+// order.
+func commitPaths(g *Grid, res *Result, net string, sig int32, pins []geom.Point, paths [][]node, probe geom.Rect, rule Rule) {
+	claim(g, sig, node{0, pins[0].X, pins[0].Y}, Rule{WidthTracks: 1})
+	for _, path := range paths {
+		claimPath(g, sig, path, rule)
 	}
-	res.setProbe(net, sp.probe)
-	recordPaths(res, net, sp.paths)
-	if sp.err != nil {
-		res.Failed = append(res.Failed, net)
-		res.FailReasons = append(res.FailReasons, sp.err.Error())
-		return
-	}
+	res.setProbe(net, probe)
+	recordPaths(res, net, paths)
 	if rule.Shield {
 		res.addShieldLen(net, addShields(g, sig))
 	}
@@ -786,23 +603,24 @@ func netPaths(f fabric, sig int32, pins []geom.Point, rule Rule) ([][]node, geom
 		if err != nil {
 			return paths, probe, err
 		}
-		// Claim the path. The pin landing itself claims at width 1 like
-		// the seed did, and the success cell (path[0]) is already owned by
-		// the net — re-claiming it at full width would stomp neighbors the
-		// search never verified.
-		for i, n := range path {
-			switch {
-			case i == 0:
-				// already owned; no claim
-			case i == len(path)-1:
-				claim(f, sig, n, pinRule)
-			default:
-				claim(f, sig, n, rule)
-			}
-		}
+		claimPath(f, sig, path, rule)
 		paths = append(paths, path)
 	}
 	return paths, probe, nil
+}
+
+// claimPath claims a found path. The pin landing (the last node) claims at
+// width 1 like the seed did, and the success cell (path[0]) is already
+// owned by the net — re-claiming it at full width would stomp neighbors
+// the search never verified.
+func claimPath(f fabric, sig int32, path []node, rule Rule) {
+	for i := 1; i < len(path); i++ {
+		if i == len(path)-1 {
+			claim(f, sig, path[i], Rule{WidthTracks: 1})
+		} else {
+			claim(f, sig, path[i], rule)
+		}
+	}
 }
 
 // recordPaths books the segments, wirelength and via counts of a net's

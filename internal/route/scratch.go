@@ -6,8 +6,8 @@ import "sync"
 // indexed by (layer*H + y)*W + x and validity is tracked with epoch stamps:
 // "clearing" a buffer is a single counter increment, not an O(cells) wipe.
 // Buffers come from per-Grid sync.Pools, so steady-state routing — one bfs
-// per pin, one speculative view per net — reuses the same storage instead
-// of re-allocating maps per search (see DESIGN.md §5c).
+// per pin, one recording view per replayed net — reuses the same storage
+// instead of re-allocating maps per search (see DESIGN.md §5c).
 
 // searchScratch holds one bfs invocation's visited/cost/frontier state.
 type searchScratch struct {
@@ -59,7 +59,7 @@ func (sc *searchScratch) setDist(i, d, from int32) {
 	sc.stamp[i] = sc.epoch
 }
 
-// gridPools holds a grid's leased scratch and speculative views. It is a
+// gridPools holds a grid's leased scratch and recording views. It is a
 // separate allocation so equally-sized grids can share one warm pool: the
 // incremental replay clones the fabric but inherits the source grid's
 // pools, and every buffer inside is sized by the shared W×H. sync.Pool
@@ -74,7 +74,6 @@ type gridPools struct {
 func (g *Grid) getScratch() *searchScratch {
 	g.mSearches.Inc()
 	if v := g.pools.scratch.Get(); v != nil {
-		g.mScratchReuse.Inc()
 		return v.(*searchScratch)
 	}
 	return newSearchScratch(2 * g.W * g.H)
@@ -82,13 +81,13 @@ func (g *Grid) getScratch() *searchScratch {
 
 func (g *Grid) putScratch(sc *searchScratch) { g.pools.scratch.Put(sc) }
 
-// specView is a copy-on-write view of a Grid for speculative search:
-// writes land in a private epoch-stamped overlay, reads fall through to the
-// underlying grid and are recorded. If the committer later proves the
-// recorded footprint disjoint from every cell written by earlier commits of
-// the same batch, the search would have unfolded identically on the live
-// grid — the speculation can be replayed verbatim. Views are pooled per
-// Grid and reset by epoch bump, so speculation allocates nothing in steady
+// specView is a copy-on-write view of a Grid for a search whose reads must
+// be known: writes land in a private epoch-stamped overlay, reads fall
+// through to the underlying grid and are recorded. The incremental replay
+// searches each dirty net on a view, checks the recorded read footprint
+// for cells of nets that route later in canonical order, and then commits
+// the paths onto the live grid (commitPaths). Views are pooled per Grid
+// and reset by epoch bump, so a replay allocates nothing per net in steady
 // state.
 type specView struct {
 	g       *Grid
@@ -166,34 +165,3 @@ func (v *specView) isPin(x, y int) bool { return v.g.isPin(x, y) }
 func (v *specView) size() (int, int)    { return v.g.W, v.g.H }
 func (v *specView) plain() bool         { return v.g.plainBFS }
 func (v *specView) base() *Grid         { return v.g }
-
-// --- commit-time write recording ----------------------------------------
-
-// armRecording starts a fresh write-recording epoch: every in-bounds set on
-// the live grid stamps its cell until disarmRecording. The committer of a
-// speculative batch uses it to invalidate later speculations whose searches
-// read those cells.
-func (g *Grid) armRecording() {
-	if g.recordStamp == nil {
-		g.recordStamp = make([]uint32, 2*g.W*g.H)
-	}
-	g.recordEpoch++
-	if g.recordEpoch == 0 {
-		clear(g.recordStamp)
-		g.recordEpoch = 1
-	}
-	g.recording = true
-}
-
-func (g *Grid) disarmRecording() { g.recording = false }
-
-// conflictsWith reports whether any cell of a speculative read footprint
-// was written since armRecording.
-func (g *Grid) conflictsWith(reads []int32) bool {
-	for _, i := range reads {
-		if g.recordStamp[i] == g.recordEpoch {
-			return true
-		}
-	}
-	return false
-}

@@ -171,7 +171,6 @@ type CheckRequest struct {
 	Files      []string `json:"files"`
 	Lenient    bool     `json:"lenient,omitempty"`
 	Jobs       int      `json:"jobs,omitempty"`
-	Shards     int      `json:"shards,omitempty"`
 	Stream     bool     `json:"stream,omitempty"`
 	DeadlineMS int64    `json:"deadline_ms,omitempty"`
 }
@@ -192,7 +191,7 @@ func Check(ctx context.Context, w io.Writer, req CheckRequest, cache *memo.Cache
 	if req.Lenient {
 		mode = diag.Lenient
 	}
-	opts := filecheck.Options{Mode: mode, Jobs: req.Jobs, Shards: req.Shards, Stream: req.Stream, Cache: cache}
+	opts := filecheck.Options{Mode: mode, Jobs: req.Jobs, Stream: req.Stream, Cache: cache}
 	return filecheck.FilesOpts(w, req.Files, opts)
 }
 

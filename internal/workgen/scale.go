@@ -11,8 +11,8 @@ import (
 )
 
 // Scale workloads: flat netlists of 10⁵–10⁶ nets for exercising the
-// streaming interchange path and the sharded router at design sizes where
-// materializing everything in memory is the bottleneck being studied.
+// streaming interchange path at design sizes where materializing
+// everything in memory is the bottleneck being studied.
 //
 // Two emitters share one deterministic plan (scaleStep):
 //

@@ -14,8 +14,6 @@ import (
 	"cadinterop/internal/exchange"
 	"cadinterop/internal/migrate"
 	"cadinterop/internal/netlist"
-	"cadinterop/internal/place"
-	"cadinterop/internal/route"
 	"cadinterop/internal/schematic"
 	"cadinterop/internal/workflow"
 	"cadinterop/internal/workgen"
@@ -96,45 +94,6 @@ func TestScaleStreamingInterchange(t *testing.T) {
 	if st := pnl.Stats(); st.Nets != info.Nets || st.Instances != info.Insts {
 		t.Errorf("parsed %d nets / %d insts, manifest says %d / %d",
 			st.Nets, st.Instances, info.Nets, info.Insts)
-	}
-}
-
-// TestScaleShardedRoute: the byte-identity of sharded routing, pinned by
-// unit and property tests at small grids, must hold on a design an order
-// of magnitude past them.
-func TestScaleShardedRoute(t *testing.T) {
-	if testing.Short() {
-		t.Skip("scale test")
-	}
-	d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
-		Cells: 192, Seed: 61, CriticalNets: 6, Keepouts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := place.Place(d, place.Options{Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	rules := make(map[string]route.Rule, len(fp.NetRules))
-	for _, r := range fp.NetRules {
-		rules[r.Net] = route.Rule{
-			WidthTracks: max(r.WidthTracks, 1), SpacingTracks: r.SpacingTracks, Shield: r.Shield}
-	}
-	ref, err := route.Route(d, route.Options{Pitch: 5, Rules: rules, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, shards := range []int{2, 4} {
-		got, err := route.Route(d, route.Options{Pitch: 5, Rules: rules, Workers: 8, Shards: shards})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if !reflect.DeepEqual(got.Segments, ref.Segments) ||
-			got.Wirelength != ref.Wirelength || got.Vias != ref.Vias ||
-			!reflect.DeepEqual(got.Failed, ref.Failed) ||
-			!reflect.DeepEqual(got.FailReasons, ref.FailReasons) ||
-			got.ShieldLen != ref.ShieldLen {
-			t.Errorf("shards=%d: routed output diverges from serial reference", shards)
-		}
 	}
 }
 
