@@ -183,7 +183,7 @@ func (lx *lexer) next() (tok string, off int, err error) {
 	switch c {
 	case '(', ')', '\'':
 		lx.pos++
-		return string(c), lx.base + start, nil
+		return lx.src[start:lx.pos], lx.base + start, nil
 	case '"':
 		lx.pos++
 		for lx.pos < len(lx.src) {
@@ -197,7 +197,7 @@ func (lx *lexer) next() (tok string, off int, err error) {
 			}
 			lx.pos++
 		}
-		return "", lx.base + start, fmt.Errorf("%w: offset %d: unterminated string", ErrParse, lx.base+start)
+		return "", lx.base + start, incomplete("offset %d: unterminated string", lx.base+start)
 	default:
 		for lx.pos < len(lx.src) {
 			c := lx.src[lx.pos]
@@ -211,11 +211,23 @@ func (lx *lexer) next() (tok string, off int, err error) {
 	}
 }
 
-func (lx *lexer) peek() (string, int, error) {
-	save := lx.pos
-	tok, off, err := lx.next()
-	lx.pos = save
-	return tok, off, err
+// errIncomplete marks, under errors.Is, the parse errors that more input
+// could repair: an unterminated list or string, and input that ends where
+// an expression should start. Scanner.ReadForm refills its window only
+// for these. Matching the mark rather than the message matters: a bad
+// string's message quotes the string, which may say "unterminated list".
+var errIncomplete = errors.New("al: incomplete input")
+
+// incompleteError is a parse error that more input could repair.
+type incompleteError struct{ msg string }
+
+func (e *incompleteError) Error() string   { return e.msg }
+func (e *incompleteError) Unwrap() []error { return []error{ErrParse, errIncomplete} }
+
+// incomplete returns the error fmt.Errorf("%w: "+format, ErrParse, args...)
+// would, marked as repairable by more input.
+func incomplete(format string, args ...any) error {
+	return &incompleteError{msg: ErrParse.Error() + ": " + fmt.Sprintf(format, args...)}
 }
 
 // Parse reads all expressions in src.
@@ -227,18 +239,15 @@ func Parse(src string) ([]Value, error) {
 // ParseTracked reads all expressions in src, returning a position tree per
 // expression alongside the values.
 func ParseTracked(src string) ([]Value, []*PosTree, error) {
-	lx := &lexer{src: src}
+	p := parser{lexer: lexer{src: src}}
 	var out []Value
 	var trees []*PosTree
 	for {
-		tok, _, err := lx.peek()
-		if err != nil {
-			return nil, nil, err
-		}
-		if tok == "" {
+		p.skipSpace()
+		if p.pos >= len(p.src) {
 			return out, trees, nil
 		}
-		v, pt, err := parseExpr(lx, 0)
+		v, pt, err := p.form()
 		if err != nil {
 			return nil, nil, err
 		}
@@ -252,23 +261,21 @@ func ParseTracked(src string) ([]Value, []*PosTree, error) {
 // skipped — the reader resynchronizes at the next balanced toplevel
 // position and keeps going. It returns every form that did parse.
 func ParseRecover(src string, report func(off int, msg string)) ([]Value, []*PosTree) {
-	lx := &lexer{src: src}
+	p := parser{lexer: lexer{src: src}}
 	var out []Value
 	var trees []*PosTree
 	for {
-		tok, off, err := lx.peek()
-		if err != nil {
-			report(off, err.Error())
-			lx.next() // consume the broken token (advances past the bad lexeme)
-			continue
-		}
-		if tok == "" {
+		p.skipSpace()
+		if p.pos >= len(p.src) {
 			return out, trees
 		}
-		v, pt, err := parseExpr(lx, 0)
+		off := p.pos
+		v, pt, err := p.form()
 		if err != nil {
+			// A lexical error (an unterminated string) has consumed the
+			// rest of the input, so resync stops at once.
 			report(off, err.Error())
-			lx.resync()
+			p.resync()
 			continue
 		}
 		out = append(out, v)
@@ -314,64 +321,204 @@ func ParseOne(src string) (Value, error) {
 	return vs[0], nil
 }
 
-func parseExpr(lx *lexer, depth int) (Value, *PosTree, error) {
-	if depth > MaxDepth {
-		return nil, nil, fmt.Errorf("%w: offset %d: nesting deeper than %d", ErrParse, lx.base+lx.pos, MaxDepth)
+// parser is the state of one parse: the lexer over the input and the
+// arena its nodes come from.
+type parser struct {
+	lexer
+	ar arena
+}
+
+// arena supplies the nodes of a parse: every PosTree, and the exact-length
+// element arrays behind every List and every Kids slice, carved from
+// shared chunks instead of one allocation per node and an append per
+// element. What the parse returns points into the chunks, so a retained
+// subtree keeps its whole chunk alive; beyond that, only a Scanner holds
+// its current chunks, for its next forms. Each slice handed out is capped
+// at its length, so an append to one parsed list copies instead of
+// writing into its neighbour.
+type arena struct {
+	nodes chunks[PosTree]
+	vals  chunks[Value]
+	kids  chunks[*PosTree]
+	// stack holds the items read so far of every list still open,
+	// innermost last. A list copies its items out once, at its close
+	// paren, and clears their slots.
+	stack []item
+}
+
+type item struct {
+	v  Value
+	pt *PosTree
+}
+
+// Chunk sizes, in elements. The first chunk of each kind is small so a
+// short parse (an a/L callback, one streamed record) stays small, and
+// sizes double so a long one allocates rarely. The cap bounds the unused
+// tail of the last chunk and what one retained node keeps alive. Sizes
+// run one short of a power of two: a chunk holds pointers, and above 512
+// bytes Go prefixes such an object with an 8-byte header, so 512 nodes
+// would take 16,392 bytes and be rounded up to the 18,432-byte size
+// class, while 511 fill the 16,384-byte one.
+const (
+	minChunk = 7
+	maxChunk = 511
+)
+
+// chunks carves capped slices out of doubling backing arrays.
+type chunks[T any] struct {
+	free []T
+	size int
+}
+
+// take returns a zeroed slice of n elements with capacity n. A request
+// larger than a chunk gets an array of its own.
+func (c *chunks[T]) take(n int) []T {
+	if n > len(c.free) {
+		if n > maxChunk {
+			return make([]T, n)
+		}
+		c.size = min(max(2*c.size+1, minChunk, n), maxChunk)
+		c.free = make([]T, c.size)
 	}
-	tok, off, err := lx.next()
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
+func (a *arena) node(off int) *PosTree {
+	pt := &a.nodes.take(1)[0]
+	pt.Off = off
+	return pt
+}
+
+// closeList pops the items above mark into the list pt heads. An empty
+// list stays nil, as do its Kids.
+func (a *arena) closeList(mark int, pt *PosTree) List {
+	items := a.stack[mark:]
+	if len(items) == 0 {
+		return nil
+	}
+	l := List(a.vals.take(len(items)))
+	pt.Kids = a.kids.take(len(items))
+	for i, it := range items {
+		l[i], pt.Kids[i] = it.v, it.pt
+	}
+	clear(items)
+	a.stack = a.stack[:mark]
+	return l
+}
+
+// form reads one toplevel expression, first dropping whatever items a
+// failed earlier form left on the stack.
+func (p *parser) form() (Value, *PosTree, error) {
+	clear(p.ar.stack)
+	p.ar.stack = p.ar.stack[:0]
+	return p.expr(0)
+}
+
+// expr reads one expression at nesting depth; the caller has checked
+// depth against MaxDepth.
+func (p *parser) expr(depth int) (Value, *PosTree, error) {
+	tok, off, err := p.next()
 	if err != nil {
 		return nil, nil, err
 	}
-	pt := &PosTree{Off: off}
 	switch {
 	case tok == "":
-		return nil, nil, fmt.Errorf("%w: unexpected end of input", ErrParse)
+		return nil, nil, incomplete("unexpected end of input")
 	case tok == "(":
-		var items List
-		for {
-			p, _, err := lx.peek()
-			if err != nil {
-				return nil, nil, err
-			}
-			if p == "" {
-				return nil, nil, fmt.Errorf("%w: offset %d: unterminated list", ErrParse, off)
-			}
-			if p == ")" {
-				lx.next()
-				return items, pt, nil
-			}
-			item, kid, err := parseExpr(lx, depth+1)
-			if err != nil {
-				return nil, nil, err
-			}
-			items = append(items, item)
-			pt.Kids = append(pt.Kids, kid)
-		}
+		return p.list(off, depth)
 	case tok == ")":
 		return nil, nil, fmt.Errorf("%w: offset %d: unexpected )", ErrParse, off)
 	case tok == "'":
-		q, kid, err := parseExpr(lx, depth+1)
+		if depth >= MaxDepth {
+			return nil, nil, depthError(p.base + p.pos)
+		}
+		q, kid, err := p.expr(depth + 1)
 		if err != nil {
 			return nil, nil, err
 		}
-		pt.Kids = []*PosTree{{Off: off}, kid}
-		return List{Symbol("quote"), q}, pt, nil
+		pt := p.ar.node(off)
+		pt.Kids = p.ar.kids.take(2)
+		pt.Kids[0], pt.Kids[1] = p.ar.node(off), kid
+		l := List(p.ar.vals.take(2))
+		l[0], l[1] = Symbol("quote"), q
+		return l, pt, nil
 	case tok[0] == '"':
 		s, err := strconv.Unquote(tok)
 		if err != nil {
 			return nil, nil, fmt.Errorf("%w: offset %d: bad string %s: %v", ErrParse, off, tok, err)
 		}
-		return Str(s), pt, nil
+		return Str(s), p.ar.node(off), nil
 	case tok == "#t":
-		return Bool(true), pt, nil
+		return Bool(true), p.ar.node(off), nil
 	case tok == "#f":
-		return Bool(false), pt, nil
+		return Bool(false), p.ar.node(off), nil
 	default:
-		if n, err := strconv.ParseFloat(tok, 64); err == nil {
-			return Num(n), pt, nil
+		if mayBeNumber(tok) {
+			if n, err := strconv.ParseFloat(tok, 64); err == nil {
+				return Num(n), p.ar.node(off), nil
+			}
 		}
-		return Symbol(tok), pt, nil
+		return Symbol(tok), p.ar.node(off), nil
 	}
+}
+
+// list reads the items and close paren of a list whose open paren was at
+// off. It decides the close paren and end of input from the next byte,
+// so each item is lexed once.
+func (p *parser) list(off, depth int) (Value, *PosTree, error) {
+	pt := p.ar.node(off)
+	mark := len(p.ar.stack)
+	for {
+		end := p.pos
+		p.skipSpace()
+		if p.pos >= len(p.src) {
+			return nil, nil, incomplete("offset %d: unterminated list", off)
+		}
+		if p.src[p.pos] == ')' {
+			p.pos++
+			return p.ar.closeList(mark, pt), pt, nil
+		}
+		if depth >= MaxDepth {
+			// A lexical error in the item outranks the depth error. That
+			// points just past the previous token, where ParseRecover's
+			// resync then starts.
+			if _, _, err := p.next(); err != nil {
+				return nil, nil, err
+			}
+			p.pos = end
+			return nil, nil, depthError(p.base + end)
+		}
+		v, kid, err := p.expr(depth + 1)
+		if err != nil {
+			return nil, nil, err
+		}
+		p.ar.stack = append(p.ar.stack, item{v, kid})
+	}
+}
+
+func depthError(off int) error {
+	return fmt.Errorf("%w: offset %d: nesting deeper than %d", ErrParse, off, MaxDepth)
+}
+
+// mayBeNumber reports whether strconv.ParseFloat could accept tok: after
+// an optional sign, a digit or '.', or, in any case, inf, infinity or
+// nan. That is a superset of its syntax, so skipping ParseFloat for the
+// rest changes no result; it spares symbols the *NumError a failed
+// ParseFloat allocates.
+func mayBeNumber(tok string) bool {
+	s := tok
+	if s[0] == '+' || s[0] == '-' {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	if c := s[0]; '0' <= c && c <= '9' || c == '.' {
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 }
 
 // ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 package al
 
 import (
+	"errors"
 	"io"
-	"strings"
 )
 
 // Scanner reads s-expressions incrementally from an io.Reader without
@@ -32,6 +32,7 @@ type Scanner struct {
 	maxWindow     int
 	chunk         int
 	rbuf          []byte
+	ar            arena
 }
 
 // scannerChunk is the default read granularity.
@@ -148,30 +149,25 @@ func (s *Scanner) PeekInside() (tok string, err error) {
 	return tok, err
 }
 
-// incompleteParse matches parse errors that more input could repair — the
-// only ones worth retrying after a fill.
-func incompleteParse(err error) bool {
-	msg := err.Error()
-	return strings.Contains(msg, "unterminated list") ||
-		strings.Contains(msg, "unexpected end of input") ||
-		strings.Contains(msg, "unterminated string")
-}
-
 // ReadForm parses one complete expression from the stream; position-tree
 // offsets are absolute. On a malformed expression the scanner's position
-// is unchanged — use Resync to skip past the damage.
+// is unchanged — use Resync to skip past the damage. Successive forms
+// share the scanner's arena, so a short record costs a few slots of a
+// chunk rather than allocations of its own.
 func (s *Scanner) ReadForm() (Value, *PosTree, error) {
 	for {
-		lx := &lexer{src: s.src, pos: s.pos, base: s.base}
-		v, pt, err := parseExpr(lx, 0)
+		p := parser{lexer: lexer{src: s.src, pos: s.pos, base: s.base}, ar: s.ar}
+		v, pt, err := p.form()
+		s.ar = p.ar
 		if err == nil {
-			if !s.eof && lx.pos >= len(s.src) && s.fill() {
+			if !s.eof && p.pos >= len(s.src) && s.fill() {
 				continue // a bare atom at the window edge may continue
 			}
-			s.pos = lx.pos
+			s.pos = p.pos
 			return v, pt, nil
 		}
-		if !s.eof && incompleteParse(err) && s.fill() {
+		// Only an error more input could repair is worth a refill.
+		if !s.eof && errors.Is(err, errIncomplete) && s.fill() {
 			continue
 		}
 		return nil, nil, err

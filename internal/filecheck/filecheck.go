@@ -89,16 +89,38 @@ func CheckBytes(name string, data []byte, mode diag.Mode) ([]diag.Diagnostic, er
 			}
 			return nil, nil
 		}
-		var diags []diag.Diagnostic
+		// Like the other readers, stop collecting at the collector's limit.
+		col := diag.New(mode, name, al.ErrParse)
+		lc := lineCounter{src: src, line: 1, col: 1}
+		var aborted error
 		al.ParseRecover(src, func(off int, msg string) {
-			diags = append(diags, diag.Diagnostic{
-				Sev: diag.Error, Code: "parse", Source: name, Pos: diag.LineCol(src, off), Msg: msg,
-			})
+			if aborted == nil {
+				aborted = col.Errorf("parse", lc.pos(off), "%s", msg)
+			}
 		})
-		return diags, nil
+		return col.Diags, aborted
 	default:
 		return nil, fmt.Errorf("unrecognized extension %q (known: .edf .edif .vl .wir .cd .cds .v .al .il)", filepath.Ext(name))
 	}
+}
+
+// lineCounter is diag.LineCol for nondecreasing offsets, such as the
+// ones al.ParseRecover reports: each call resumes counting where the last
+// one stopped, so resolving every diagnostic costs one pass over src.
+type lineCounter struct {
+	src            string
+	off, line, col int
+}
+
+func (c *lineCounter) pos(off int) diag.Pos {
+	for ; c.off < off && c.off < len(c.src); c.off++ {
+		if c.src[c.off] == '\n' {
+			c.line, c.col = c.line+1, 1
+		} else {
+			c.col++
+		}
+	}
+	return diag.Pos{Offset: c.off, Line: c.line, Col: c.col}
 }
 
 // CheckFile reads and vets one file.

@@ -1,6 +1,8 @@
 package filecheck
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -48,6 +50,29 @@ func TestCheckBytesLenientRecovers(t *testing.T) {
 	d := diags[0]
 	if d.Source != "bad.v" || d.Pos.Line == 0 {
 		t.Errorf("diagnostic not positioned: %v", d)
+	}
+}
+
+// TestCheckBytesALLenientLimit: lenient a/L vetting obeys the collector's
+// diagnostic limit like every other reader — a flood of stray close
+// parens ends in the [limit] abort after diag.DefaultLimit diagnostics —
+// and each kept diagnostic is positioned as diag.LineCol would place it.
+func TestCheckBytesALLenientLimit(t *testing.T) {
+	src := "(ok)\n" + strings.Repeat(") ; stray\n (fine) )\n", diag.DefaultLimit)
+	diags, err := CheckBytes("flood.al", []byte(src), diag.Lenient)
+	if !errors.Is(err, diag.ErrLimit) || !strings.Contains(fmt.Sprint(err), "[limit]") {
+		t.Fatalf("err = %v, want the [limit] abort", err)
+	}
+	if len(diags) != diag.DefaultLimit {
+		t.Fatalf("%d diagnostics, want %d", len(diags), diag.DefaultLimit)
+	}
+	for i, d := range diags {
+		if want := diag.LineCol(src, d.Pos.Offset); d.Pos != want || d.Source != "flood.al" || d.Code != "parse" {
+			t.Fatalf("diagnostic %d = %v at %+v, want %+v", i, d, d.Pos, want)
+		}
+	}
+	if got, want := diags[1].Pos, (diag.Pos{Offset: 23, Line: 3, Col: 9}); got != want {
+		t.Errorf("second diagnostic at %+v, want %+v", got, want)
 	}
 }
 
