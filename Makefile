@@ -60,8 +60,8 @@ race:
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
 # the router's and the sim kernel's steady-state hot paths at ~zero
 # allocations (DESIGN.md §5c), the memo cache's hit path, and the
-# s-expression reader's arena: allocations per net of a buffered exchange
-# read, and the cost of a short a/L parse.
+# s-expression reader's arena: allocations per net of an in-memory
+# exchange read (ReadBytes), and the cost of a short a/L parse.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/al ./internal/exchange
 

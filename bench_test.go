@@ -512,10 +512,11 @@ func BenchmarkObsOverhead(b *testing.B) {
 }
 
 // BenchmarkExchangeScale measures interchange parse cost per net across
-// three design sizes (10³–10⁵ nets), buffered against streaming. The
-// streaming reader trades a small constant factor for a parse window that
-// stays at the scanner chunk size instead of the whole file — the
-// bytes/op column (and E16's window/input ratio) is the point.
+// three design sizes (10³–10⁵ nets) through the one reader's two entry
+// points: "buffered" is ReadBytes over the in-memory file, "streaming" is
+// ReadStream over a bytes.Reader. The sub-benchmark names predate the
+// single reader and are kept so recorded baselines (BENCH_PR6.json,
+// BENCH_PR7.json) stay comparable.
 func BenchmarkExchangeScale(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		var buf bytes.Buffer

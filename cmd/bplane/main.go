@@ -49,7 +49,6 @@ func main() {
 		check   = flag.Bool("check", false, "vet the interchange files given as arguments (reader by extension) and exit")
 		strict  = flag.Bool("strict", true, "with -check: abort a file on its first error-severity diagnostic")
 		lenient = flag.Bool("lenient", false, "with -check: quarantine malformed records and keep parsing")
-		stream  = flag.Bool("stream", false, "with -check: vet via the streaming readers (bounded memory on large files; same verdicts)")
 	)
 	flag.Parse()
 	if *check {
@@ -57,7 +56,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "bplane: -check needs file arguments")
 			os.Exit(2)
 		}
-		if err := runCheck(cfg, flag.Args(), *lenient || !*strict, *stream); err != nil {
+		if err := runCheck(cfg, flag.Args(), *lenient || !*strict); err != nil {
 			fmt.Fprintln(os.Stderr, "bplane:", err)
 			os.Exit(1)
 		}
@@ -85,7 +84,7 @@ func openCache(cfg config, reg *obs.Registry) (*memo.Cache, error) {
 // the same registry -metrics is written from — the -check path used to
 // open the cache with a nil registry, which silently dropped memo.hits/
 // memo.misses in exactly the mode the CI cold-vs-warm gate audits.
-func runCheck(cfg config, files []string, lenient, stream bool) error {
+func runCheck(cfg config, files []string, lenient bool) error {
 	var rec *obs.Recorder
 	if cfg.metricsFile != "" {
 		rec = obs.New(nil)
@@ -94,7 +93,7 @@ func runCheck(cfg config, files []string, lenient, stream bool) error {
 	if cerr != nil {
 		return cerr
 	}
-	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs, Stream: stream}
+	req := serve.CheckRequest{Files: files, Lenient: lenient, Jobs: cfg.jobs}
 	err := serve.Check(context.Background(), os.Stdout, req, cache)
 	if cfg.metricsFile != "" {
 		if werr := rec.WriteMetricsFile(cfg.metricsFile); werr != nil && err == nil {

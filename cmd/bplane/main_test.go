@@ -85,7 +85,7 @@ func TestCheckMetricsCountMemo(t *testing.T) {
 	warm := filepath.Join(dir, "warm.txt")
 	for i, mf := range []string{cold, warm} {
 		cfg.metricsFile = mf
-		if err := runCheck(cfg, []string{file}, false, false); err != nil {
+		if err := runCheck(cfg, []string{file}, false); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 	}

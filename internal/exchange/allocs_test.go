@@ -13,7 +13,7 @@ import (
 	"cadinterop/internal/workgen"
 )
 
-// TestReadBytesAllocs pins the buffered reader's allocations per net. The
+// TestReadBytesAllocs pins an in-memory read's allocations per net. The
 // s-expression reader takes its nodes and list arrays from a per-parse
 // arena and skips strconv.ParseFloat on symbols, which brought a net from
 // 123 allocations to about 26; the bound fails if either comes undone.

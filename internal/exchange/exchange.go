@@ -50,8 +50,8 @@ type WriteOptions struct {
 	// so existing writers stay byte-identical; guarded paths
 	// (VerifyRoundTrip, the backplane/migrate gates, E14) turn it on.
 	Trailer bool
-	// Hints prepends a (hints ...) record carrying the element counts so a
-	// streaming reader can pre-size its tables before the records arrive
+	// Hints prepends a (hints ...) record carrying the element counts so the
+	// reader can pre-size its tables before the records arrive
 	// (the trailer manifest sits at the end, too late for that). Off by
 	// default so existing outputs stay byte-identical.
 	Hints bool
@@ -268,49 +268,20 @@ type ReadOptions struct {
 // Read parses an interchange file, restoring renamed identifiers. It is the
 // strict-mode entry point: the first malformed record aborts.
 func Read(r io.Reader) (*netlist.Netlist, error) {
-	nl, _, err := ReadWithDiagnostics(r, ReadOptions{})
+	nl, _, err := ReadStream(r, ReadOptions{})
 	return nl, err
 }
 
-// ReadWithDiagnostics parses an interchange file under the given policy.
-// The diagnostics slice is returned in both outcomes; in lenient mode a
-// non-nil netlist with error diagnostics means "partial design — these
-// records were quarantined".
-func ReadWithDiagnostics(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReadBytes(data, opts)
-}
-
-// ReadBytes is ReadWithDiagnostics over an in-memory input.
+// ReadBytes is ReadStream over an in-memory input.
 func ReadBytes(data []byte, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
-	col := diag.New(opts.Mode, opts.Source, ErrFormat)
-	rd := &exReader{src: string(data), col: col}
-	nl, err := rd.read(opts.RequireTrailer)
-	if err != nil {
-		return nil, col.Diags, err
-	}
-	if nl == nil {
-		// The toplevel (edif ...) form itself was quarantined; there is
-		// nothing to recover.
-		return nil, col.Diags, fmt.Errorf("%w: no usable (edif ...) form", ErrFormat)
-	}
-	if opts.Mode == diag.Strict {
-		if err := col.Err(); err != nil {
-			return nil, col.Diags, err
-		}
-	}
-	return nl, col.Diags, nil
+	return ReadStream(bytes.NewReader(data), opts)
 }
 
+// exReader holds what the record handlers share: the diagnostic
+// collector, and the scanner whose window resolves offsets to positions.
 type exReader struct {
-	src string
 	col *diag.Collector
-	// sc is set by the streaming entry points (stream.go): positions then
-	// resolve against the scanner's window instead of a full source copy.
-	sc *al.Scanner
+	sc  *al.Scanner
 }
 
 // pos upgrades a parse-tree node to a line/column position.
@@ -318,13 +289,10 @@ func (rd *exReader) pos(pt *al.PosTree) diag.Pos {
 	return rd.posAt(pt.Offset())
 }
 
-// posAt upgrades a byte offset to a line/column position. In streaming
-// mode an offset already compacted out of the window degrades to
-// offset-only rather than costing the memory bound.
+// posAt upgrades a byte offset to a line/column position. An offset
+// already compacted out of the scanner's window degrades to offset-only
+// rather than costing the memory bound.
 func (rd *exReader) posAt(off int) diag.Pos {
-	if rd.sc == nil {
-		return diag.LineCol(rd.src, off)
-	}
 	if off < 0 {
 		return diag.NoPos
 	}
@@ -332,125 +300,6 @@ func (rd *exReader) posAt(off int) diag.Pos {
 		return diag.Pos{Offset: off, Line: line, Col: col}
 	}
 	return diag.Pos{Offset: off}
-}
-
-func (rd *exReader) read(requireTrailer bool) (*netlist.Netlist, error) {
-	trailer, terr := rd.checkTrailer(requireTrailer)
-	if terr != nil {
-		return nil, terr
-	}
-
-	var exprs []al.Value
-	var trees []*al.PosTree
-	if rd.col.Mode == diag.Lenient {
-		var aborted error
-		exprs, trees = al.ParseRecover(rd.src, func(off int, msg string) {
-			if aborted == nil {
-				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
-			}
-		})
-		if aborted != nil {
-			return nil, aborted
-		}
-	} else {
-		var err error
-		exprs, trees, err = al.ParseTracked(rd.src)
-		if err != nil {
-			return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-		}
-	}
-	if len(exprs) != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (edif ...) form, got %d", len(exprs))
-	}
-	top, ok := exprs[0].(al.List)
-	tt := trees[0]
-	if !ok || len(top) < 2 || !isSym(top[0], "edif") {
-		return nil, rd.col.Errorf("parse", rd.pos(tt), "missing (edif ...) form")
-	}
-
-	// First pass: collect the rename table.
-	renames := make(map[string]string)
-	for i, item := range top[2:] {
-		l, ok := item.(al.List)
-		if !ok || len(l) == 0 {
-			continue
-		}
-		if isSym(l[0], "rename") && len(l) == 3 {
-			alias, err1 := symStr(l[1])
-			orig, err2 := symStr(l[2])
-			if err1 != nil || err2 != nil {
-				if err := rd.col.Errorf("record", rd.pos(tt.Kid(i+2)), "bad rename"); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			renames[alias] = orig
-		}
-	}
-	restore := func(alias string) string {
-		if orig, ok := renames[alias]; ok {
-			return orig
-		}
-		return alias
-	}
-
-	nl := netlist.New()
-	for i, item := range top[2:] {
-		it := tt.Kid(i + 2)
-		l, ok := item.(al.List)
-		if !ok || len(l) == 0 {
-			if err := rd.col.Errorf("record", rd.pos(it), "unexpected item %s", item.Repr()); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		head, _ := l[0].(al.Symbol)
-		switch head {
-		case "rename":
-			// handled in the first pass
-		case "design":
-			if len(l) < 2 {
-				if err := rd.col.Errorf("record", rd.pos(it), "design needs a name"); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			name, err := symStr(l[1])
-			if err != nil {
-				if err := rd.col.Errorf("record", rd.pos(it.Kid(1)), "design name: %v", err); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			nl.Top = restore(name)
-		case "cell":
-			if err := rd.readCell(nl, l, it, restore); err != nil {
-				return nil, err
-			}
-		case "hints":
-			ct := hintCounts(l)
-			nl.Grow(ct.cells)
-		default:
-			if err := rd.col.Errorf("record", rd.pos(it), "unknown form %q", head); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if trailer != nil {
-		got := countElems(nl)
-		if got != *trailer {
-			if err := rd.integrityErr(diag.NoPos,
-				"element manifest mismatch: trailer says cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d, parsed cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d",
-				trailer.cells, trailer.ports, trailer.nets, trailer.insts, trailer.conns, trailer.attrs,
-				got.cells, got.ports, got.nets, got.insts, got.conns, got.attrs); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if err := rd.reconcile(nl); err != nil {
-		return nil, err
-	}
-	return nl, nil
 }
 
 // reconcile enforces referential integrity on the parsed netlist: an
@@ -515,31 +364,8 @@ func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 	return nil
 }
 
-// checkTrailer locates and verifies the integrity trailer. It returns the
-// manifest counts when a trailer with a valid checksum is present, nil when
-// absent (and not required).
-func (rd *exReader) checkTrailer(require bool) (*elemCounts, error) {
-	line, start := lastLine(rd.src)
-	const prefix = "; integrity sha256:"
-	if !strings.HasPrefix(line, prefix) {
-		if require {
-			return nil, rd.integrityErr(diag.NoPos, "required integrity trailer is absent")
-		}
-		rd.col.Infof("integrity", diag.NoPos, "integrity trailer absent; content not verified")
-		return nil, nil
-	}
-	pos := diag.LineCol(rd.src, start)
-	sum := sha256.Sum256([]byte(rd.src[:start]))
-	ct, msg := parseTrailerFields(line, sum)
-	if msg != "" {
-		return nil, rd.integrityErr(pos, "%s", msg)
-	}
-	return ct, nil
-}
-
 // parseTrailerFields validates a trailer line against the body checksum
-// and decodes its manifest counts. A non-empty message names the failure;
-// the texts are shared by the buffered and streaming verifiers.
+// and decodes its manifest counts. A non-empty message names the failure.
 func parseTrailerFields(line string, bodySum [sha256.Size]byte) (*elemCounts, string) {
 	fields := strings.Fields(line[len("; "):])
 	// fields[0] = "integrity", fields[1] = "sha256:<hex>", then k=v counts.
@@ -633,43 +459,10 @@ func (rd *exReader) integrityErr(pos diag.Pos, format string, args ...any) error
 	return nil
 }
 
-// lastLine returns the last non-empty line of src and its byte offset.
-func lastLine(src string) (string, int) {
-	end := len(src)
-	for end > 0 && (src[end-1] == '\n' || src[end-1] == '\r') {
-		end--
-	}
-	start := strings.LastIndexByte(src[:end], '\n') + 1
-	return src[start:end], start
-}
-
-// readCell parses one (cell ...) form. A returned non-nil error is an
-// abort; recoverable problems are reported and the offending record
-// skipped.
-func (rd *exReader) readCell(nl *netlist.Netlist, l al.List, lt *al.PosTree, restore func(string) string) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "cell needs a name")
-	}
-	name, err := symStr(l[1])
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "cell name: %v", err)
-	}
-	c, err := nl.AddCell(restore(name))
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt), "%v", err)
-	}
-	for i, item := range l[2:] {
-		if err := rd.readCellItem(c, item, lt.Kid(i+2), restore); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCellItem handles one body item of a (cell ...) form. The streaming
-// reader calls it record by record; the buffered reader loops over the
-// materialized cell. A non-nil return is an abort.
-func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree, restore func(string) string) error {
+// readCellItem handles one materialized body item of a (cell ...) form;
+// (contents ...) never arrives here, because the reader walks it record
+// by record. A non-nil return is an abort.
+func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree) error {
 	il, ok := item.(al.List)
 	if !ok || len(il) == 0 {
 		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", item.Repr())
@@ -677,18 +470,16 @@ func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree,
 	head, _ := il[0].(al.Symbol)
 	switch head {
 	case "interface":
-		return rd.readInterface(c, il, it, restore)
+		return rd.readInterface(c, il, it)
 	case "primitive":
 		c.Primitive = true
-	case "contents":
-		return rd.readContents(c, il, it, restore)
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree, restore func(string) string) error {
+func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree) error {
 	for j, pi := range il[1:] {
 		pt := it.Kid(j + 1)
 		pl, ok := pi.(al.List)
@@ -713,7 +504,7 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree, r
 			}
 			continue
 		}
-		if err := c.AddPort(restore(pname), dir); err != nil {
+		if err := c.AddPort(pname, dir); err != nil {
 			if err := rd.col.Errorf("record", rd.pos(pt), "%v", err); err != nil {
 				return err
 			}
@@ -722,19 +513,10 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree, r
 	return nil
 }
 
-func (rd *exReader) readContents(c *netlist.Cell, l al.List, lt *al.PosTree, restore func(string) string) error {
-	for i, item := range l[1:] {
-		if err := rd.readContentsItem(c, item, lt.Kid(i+1), restore); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // readContentsItem handles one record of a (contents ...) form — the
-// granularity at which the streaming reader parses, recovers and frees
-// memory. A non-nil return is an abort.
-func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosTree, restore func(string) string) error {
+// granularity at which the reader parses, recovers and frees memory. A
+// non-nil return is an abort.
+func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosTree) error {
 	il, ok := item.(al.List)
 	if !ok || len(il) == 0 {
 		return rd.col.Errorf("record", rd.pos(it), "bad contents item")
@@ -749,7 +531,7 @@ func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosT
 		if err != nil {
 			return rd.col.Errorf("record", rd.pos(it.Kid(1)), "net name: %v", err)
 		}
-		nt := c.EnsureNet(restore(name))
+		nt := c.EnsureNet(name)
 		for _, sub := range il[2:] {
 			sl, ok := sub.(al.List)
 			if !ok || len(sl) == 0 {
@@ -765,14 +547,14 @@ func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosT
 			}
 		}
 	case "instance":
-		return rd.readInstance(c, il, it, restore)
+		return rd.readInstance(c, il, it)
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown contents item %q", head)
 	}
 	return nil
 }
 
-func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree, restore func(string) string) error {
+func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree) error {
 	if len(il) < 2 {
 		return rd.col.Errorf("record", rd.pos(it), "instance needs a name")
 	}
@@ -793,7 +575,7 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree, re
 			if err != nil {
 				return rd.col.Errorf("record", rd.pos(st.Kid(1)), "master: %v", err)
 			}
-			inst, err = c.AddInstance(restore(name), restore(m))
+			inst, err = c.AddInstance(name, m)
 			if err != nil {
 				return rd.col.Errorf("record", rd.pos(st), "%v", err)
 			}
@@ -818,7 +600,7 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree, re
 					}
 					continue
 				}
-				if err := c.Connect(restore(name), restore(port), restore(net)); err != nil {
+				if err := c.Connect(name, port, net); err != nil {
 					if err := rd.col.Errorf("record", rd.pos(jt), "%v", err); err != nil {
 						return err
 					}

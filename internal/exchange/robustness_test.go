@@ -2,7 +2,9 @@ package exchange
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"testing/iotest"
 
 	"cadinterop/internal/diag"
 	"cadinterop/internal/diag/diagtest"
@@ -10,20 +12,28 @@ import (
 
 // exchangeCandidate is the robustness contract for the exchange reader:
 // arbitrary bytes either parse, recover, or error under both modes — never
-// a panic, and never an accepted netlist that fails Validate.
-func exchangeCandidate(data []byte) error {
-	for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-		nl, _, err := ReadBytes(data, ReadOptions{Mode: mode, Source: "sweep"})
-		if err != nil {
-			continue
-		}
-		if nl != nil {
-			if verr := nl.Validate(); verr != nil {
-				return diagtest.ValidateViolation(verr)
+// a panic, and never an accepted netlist that fails Validate. The input is
+// also fed to ReadStream one byte at a time, so every sweep crosses the
+// scanner's window refills; any difference from ReadBytes fails t.
+func exchangeCandidate(t testing.TB) diagtest.ParseFn {
+	return func(data []byte) error {
+		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
+			opts := ReadOptions{Mode: mode, Source: "sweep"}
+			nl, diags, err := ReadBytes(data, opts)
+			sn, sd, serr := ReadStream(iotest.OneByteReader(bytes.NewReader(data)), opts)
+			assertSameRead(t, fmt.Sprintf("%v, ReadStream one byte at a time vs ReadBytes, input %q", mode, data),
+				nl, diags, err, sn, sd, serr)
+			if err != nil {
+				continue
+			}
+			if nl != nil {
+				if verr := nl.Validate(); verr != nil {
+					return diagtest.ValidateViolation(verr)
+				}
 			}
 		}
+		return nil
 	}
-	return nil
 }
 
 // sweepSource writes the package's own awkward sample netlist, the richest
@@ -39,15 +49,15 @@ func sweepSource(t testing.TB) []byte {
 }
 
 func TestPrefixSweep(t *testing.T) {
-	diagtest.PrefixSweep(t, sweepSource(t), 1, exchangeCandidate)
+	diagtest.PrefixSweep(t, sweepSource(t), 1, exchangeCandidate(t))
 }
 
 func TestMutationSweep(t *testing.T) {
-	diagtest.MutationSweep(t, sweepSource(t), 0xe1, 400, exchangeCandidate)
+	diagtest.MutationSweep(t, sweepSource(t), 0xe1, 400, exchangeCandidate(t))
 }
 
 func TestTruncateMidline(t *testing.T) {
-	diagtest.TruncateMidline(t, sweepSource(t), exchangeCandidate)
+	diagtest.TruncateMidline(t, sweepSource(t), exchangeCandidate(t))
 }
 
 func FuzzParse(f *testing.F) {
@@ -58,7 +68,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("(edif"))
 	f.Add([]byte(";\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := exchangeCandidate(data); err != nil && diagtest.IsViolation(err) {
+		if err := exchangeCandidate(t)(data); err != nil && diagtest.IsViolation(err) {
 			t.Fatal(err)
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -14,33 +15,45 @@ import (
 	"cadinterop/internal/netlist"
 )
 
-// assertStreamEquiv runs the buffered and streaming readers over the same
-// bytes and asserts identical netlist, diagnostics and error — once with
-// normal reads and once byte-at-a-time to stress every window-edge refill
-// path in the scanner.
+// readEntryPoints reads data through every entry point of the one reader —
+// ReadBytes, and ReadStream fed whole and one byte at a time, which
+// stresses every window-edge refill path in the scanner — and fails the
+// test unless all three return the same netlist, diagnostics and error.
+func readEntryPoints(t *testing.T, data []byte, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
+	t.Helper()
+	nl, diags, err := ReadBytes(data, opts)
+	for _, oneByte := range []bool{false, true} {
+		var r io.Reader = bytes.NewReader(data)
+		if oneByte {
+			r = iotest.OneByteReader(r)
+		}
+		sn, sd, serr := ReadStream(r, opts)
+		assertSameRead(t, fmt.Sprintf("ReadStream oneByte=%v vs ReadBytes", oneByte), nl, diags, err, sn, sd, serr)
+	}
+	return nl, diags, err
+}
+
+// assertStreamEquiv asserts that every entry point of the one reader
+// returns what the frozen buffered reader (refread_test.go) returns.
 func assertStreamEquiv(t *testing.T, data []byte, opts ReadOptions) {
 	t.Helper()
-	bn, bd, berr := ReadBytes(data, opts)
-	for _, chunked := range []bool{false, true} {
-		var r = func() *bytes.Reader { return bytes.NewReader(data) }()
-		var sn *netlist.Netlist
-		var sd []diag.Diagnostic
-		var serr error
-		if chunked {
-			sn, sd, serr = ReadStream(iotest.OneByteReader(r), opts)
-		} else {
-			sn, sd, serr = ReadStream(r, opts)
-		}
-		label := fmt.Sprintf("chunked=%v", chunked)
-		if (berr == nil) != (serr == nil) || (berr != nil && berr.Error() != serr.Error()) {
-			t.Fatalf("%s: error mismatch:\nbuffered: %v\nstream:   %v", label, berr, serr)
-		}
-		if !reflect.DeepEqual(bd, sd) {
-			t.Fatalf("%s: diagnostics mismatch:\nbuffered:\n%s\nstream:\n%s", label, diag.Render(bd), diag.Render(sd))
-		}
-		if !reflect.DeepEqual(bn, sn) {
-			t.Fatalf("%s: netlist mismatch:\nbuffered: %+v\nstream:   %+v", label, bn, sn)
-		}
+	rn, rd, rerr := refReadBytes(data, opts)
+	nl, diags, err := readEntryPoints(t, data, opts)
+	assertSameRead(t, "ReadBytes vs reference", rn, rd, rerr, nl, diags, err)
+}
+
+// assertSameRead fails t unless two reads returned the same netlist,
+// diagnostics and error text.
+func assertSameRead(t testing.TB, label string, wn *netlist.Netlist, wd []diag.Diagnostic, werr error, gn *netlist.Netlist, gd []diag.Diagnostic, gerr error) {
+	t.Helper()
+	if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
+		t.Fatalf("%s: error mismatch:\nwant: %v\ngot:  %v", label, werr, gerr)
+	}
+	if !reflect.DeepEqual(wd, gd) {
+		t.Fatalf("%s: diagnostics mismatch:\nwant:\n%s\ngot:\n%s", label, diag.Render(wd), diag.Render(gd))
+	}
+	if !reflect.DeepEqual(wn, gn) {
+		t.Fatalf("%s: netlist mismatch:\nwant: %+v\ngot:  %+v", label, wn, gn)
 	}
 }
 
@@ -86,8 +99,8 @@ func streamTestNetlist(t *testing.T) *netlist.Netlist {
 }
 
 // TestStreamEquivalenceWritten: everything the writer can produce —
-// trailers, renames, hints, VHDL-safe aliasing — reads back identically
-// through both readers in both modes.
+// trailers, renames, hints, VHDL-safe aliasing — reads back as the
+// reference reads it, in both modes.
 func TestStreamEquivalenceWritten(t *testing.T) {
 	nl := streamTestNetlist(t)
 	wopts := []WriteOptions{
@@ -115,17 +128,23 @@ func TestStreamEquivalenceWritten(t *testing.T) {
 }
 
 // TestStreamEquivalenceHandwritten pins the diagnostic contract on inputs
-// with semantic damage, structural oddities and integrity failures: both
-// readers must report the same diagnostics in the same order with the
-// same positions.
+// with semantic damage, structural oddities and integrity failures: the
+// one reader must report what the reference reports, in the same order
+// with the same positions, except where the contract departs from it.
 func TestStreamEquivalenceHandwritten(t *testing.T) {
 	valid := "(edif top\n  (cell top (interface (port a input))\n    (contents\n      (net n (global) (property k \"v\"))\n      (instance i (of top) (joined (a n)))\n    )\n  )\n  (design top)\n)\n"
 	cases := []struct {
 		name    string
 		src     string
-		lenient bool // lenient only (strict order diverges by design)
-		strict  bool // strict only (lenient streaming salvages by design)
 		require bool
+		// In the mode these name, the one reader departs from the
+		// reference by contract (stream.go), and the row pins the new
+		// outcome through ReadBytes instead. firstFault: a strict read of
+		// several faults aborts with this message, the first fault in
+		// document order. salvage: a lenient read of a lexically broken
+		// input keeps every intact record.
+		firstFault string
+		salvage    bool
 	}{
 		{name: "empty", src: ""},
 		{name: "comment-only", src: "; nothing here\n"},
@@ -134,24 +153,26 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 		{name: "empty-list", src: "()\n"},
 		{name: "not-edif", src: "(library foo)\n"},
 		{name: "edif-too-short", src: "(edif)\n"},
-		{name: "two-forms", src: "(edif a) (edif b)\n", lenient: true},
+		{name: "two-forms", src: "(edif a) (edif b)\n"},
 		{name: "valid", src: valid},
 		{name: "valid-required-missing", src: valid, require: true},
 		{name: "unexpected-atom-item", src: "(edif e stray (cell c (interface)))\n"},
 		{name: "unexpected-empty-item", src: "(edif e () (cell c (interface)))\n"},
 		{name: "unknown-form", src: "(edif e (foo bar))\n"},
 		{name: "quoted-item", src: "(edif e 'x)\n"},
+		{name: "quoted-cell", src: "(edif e '(cell c (interface)))\n"},
+		{name: "quoted-contents", src: "(edif e (cell c (interface) '(contents (net n))))\n"},
 		{name: "design-no-name", src: "(edif e (design))\n"},
 		{name: "design-bad-name", src: "(edif e (design (x)))\n"},
 		{name: "cell-no-name", src: "(edif e (cell))\n"},
 		{name: "cell-bad-name", src: "(edif e (cell (x) (interface)))\n"},
-		{name: "cell-dup", src: "(edif e (cell c (interface)) (cell c (interface)))\n", lenient: true},
+		{name: "cell-dup", src: "(edif e (cell c (interface)) (cell c (interface)))\n"},
 		{name: "bad-cell-item", src: "(edif e (cell c stray))\n"},
 		{name: "unknown-cell-item", src: "(edif e (cell c (wibble)))\n"},
 		{name: "bad-port", src: "(edif e (cell c (interface (port p))))\n"},
 		{name: "bad-port-fields", src: "(edif e (cell c (interface (port (p) input))))\n"},
 		{name: "bad-port-dir", src: "(edif e (cell c (interface (port p sideways))))\n"},
-		{name: "dup-port", src: "(edif e (cell c (interface (port p input) (port p output))))\n", lenient: true},
+		{name: "dup-port", src: "(edif e (cell c (interface (port p input) (port p output))))\n"},
 		{name: "bad-contents-item", src: "(edif e (cell c (interface) (contents stray)))\n"},
 		{name: "unknown-contents-item", src: "(edif e (cell c (interface) (contents (wire w))))\n"},
 		{name: "net-no-name", src: "(edif e (cell c (interface) (contents (net))))\n"},
@@ -160,30 +181,54 @@ func TestStreamEquivalenceHandwritten(t *testing.T) {
 		{name: "instance-no-of", src: "(edif e (cell c (interface) (contents (instance i))))\n"},
 		{name: "joined-before-of", src: "(edif e (cell c (interface) (contents (instance i (joined (a n)) (of c)))))\n"},
 		{name: "property-before-of", src: "(edif e (cell c (interface) (contents (instance i (property k \"v\") (of c)))))\n"},
-		{name: "bad-joined-pair", src: "(edif e (cell c (interface) (contents (instance i (of c) (joined (a))))))\n", lenient: true},
-		{name: "dangling-master", src: "(edif e (cell c (interface) (contents (instance i (of ghost)))))\n", lenient: true},
-		{name: "dangling-port", src: "(edif e (cell c (interface) (contents (net n) (instance i (of c) (joined (ghost n))))))\n", lenient: true},
+		{name: "bad-joined-pair", src: "(edif e (cell c (interface) (contents (instance i (of c) (joined (a))))))\n"},
+		{name: "dangling-master", src: "(edif e (cell c (interface) (contents (instance i (of ghost)))))\n"},
+		{name: "dangling-port", src: "(edif e (cell c (interface) (contents (net n) (instance i (of c) (joined (ghost n))))))\n"},
 		{name: "dangling-top", src: "(edif e (design ghost))\n"},
 		{name: "rename-bad", src: "(edif e (rename (x) \"orig\"))\n"},
 		{name: "rename-short-ignored", src: "(edif e (rename x))\n"},
-		{name: "rename-bad-then-cell-error", src: "(edif e (cell c (wibble)) (rename (x) \"orig\"))\n", lenient: true},
+		{name: "rename-bad-then-cell-error", src: "(edif e (cell c (wibble)) (rename (x) \"orig\"))\n", firstFault: `<input>:1:17: error: [record] unknown cell item "wibble"`},
 		{name: "rename-applied", src: "(edif e (cell c8 (interface (port p8 input))) (rename c8 \"a very long cell\") (rename p8 \"port(weird)\") (design c8))\n"},
-		{name: "truncated-mid-record", src: valid[:strings.Index(valid, "(instance i")+20], strict: true},
-		{name: "truncated-between-records", src: valid[:strings.Index(valid, "(instance i")], strict: true},
+		{name: "truncated-mid-record", src: valid[:strings.Index(valid, "(instance i")+20], salvage: true},
+		{name: "truncated-between-records", src: valid[:strings.Index(valid, "(instance i")], salvage: true},
 	}
 	for _, tc := range cases {
-		modes := []diag.Mode{diag.Strict, diag.Lenient}
-		if tc.lenient {
-			modes = modes[1:]
-		}
-		if tc.strict {
-			modes = modes[:1]
-		}
-		for _, mode := range modes {
+		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
 			t.Run(fmt.Sprintf("%s/%v", tc.name, mode), func(t *testing.T) {
-				assertStreamEquiv(t, []byte(tc.src), ReadOptions{Mode: mode, RequireTrailer: tc.require})
+				opts := ReadOptions{Mode: mode, RequireTrailer: tc.require}
+				switch {
+				case mode == diag.Strict && tc.firstFault != "":
+					_, _, err := readEntryPoints(t, []byte(tc.src), opts)
+					if want := ErrFormat.Error() + ": " + tc.firstFault; err == nil || err.Error() != want {
+						t.Fatalf("err = %v, want %s", err, want)
+					}
+				case mode == diag.Lenient && tc.salvage:
+					assertSalvaged(t, []byte(tc.src), opts)
+				default:
+					assertStreamEquiv(t, []byte(tc.src), opts)
+				}
 			})
 		}
+	}
+}
+
+// assertSalvaged asserts the lenient contract on a lexically broken input:
+// where the reference salvages nothing, the one reader returns a netlist
+// that validates, with error diagnostics naming the damage.
+func assertSalvaged(t *testing.T, data []byte, opts ReadOptions) {
+	t.Helper()
+	if rn, _, rerr := refReadBytes(data, opts); rn != nil || rerr == nil {
+		t.Fatalf("reference salvaged the broken input: nl=%v err=%v", rn, rerr)
+	}
+	nl, diags, err := readEntryPoints(t, data, opts)
+	if err != nil || nl == nil {
+		t.Fatalf("lenient read salvaged nothing: nl=%v err=%v", nl, err)
+	}
+	if verr := nl.Validate(); verr != nil {
+		t.Fatalf("salvaged netlist invalid: %v", verr)
+	}
+	if diag.Count(diags, diag.Error) == 0 {
+		t.Fatal("salvaged read reported no damage")
 	}
 }
 
@@ -225,23 +270,21 @@ func TestStreamEquivalenceIntegrity(t *testing.T) {
 	}
 }
 
-// TestStreamRecordResync is the documented divergence that motivates
-// streaming: on a lexically broken record the buffered reader's
-// toplevel-granular recovery quarantines the whole (edif ...) form and
-// salvages nothing, while the streaming reader resynchronizes at the
-// record boundary and keeps every intact record.
+// TestStreamRecordResync pins the lenient contract on a lexically broken
+// record: the reader resynchronizes at the record boundary and keeps
+// every intact record, where the reference's toplevel-granular recovery
+// quarantines the whole (edif ...) form and salvages nothing.
 func TestStreamRecordResync(t *testing.T) {
 	src := `(edif e (cell top (interface) (contents (net good1) (net "bad\q") (net good2) (instance i (of top)))) (design top))`
 	opts := ReadOptions{Mode: diag.Lenient}
 
-	bn, _, berr := ReadBytes([]byte(src), opts)
-	if bn != nil || berr == nil {
-		t.Fatalf("buffered reader unexpectedly salvaged the broken input: nl=%v err=%v", bn, berr)
+	if rn, _, rerr := refReadBytes([]byte(src), opts); rn != nil || rerr == nil {
+		t.Fatalf("reference unexpectedly salvaged the broken input: nl=%v err=%v", rn, rerr)
 	}
 
-	sn, sd, serr := ReadStream(strings.NewReader(src), opts)
+	sn, sd, serr := readEntryPoints(t, []byte(src), opts)
 	if serr != nil {
-		t.Fatalf("streaming read: %v", serr)
+		t.Fatalf("lenient read: %v", serr)
 	}
 	top, ok := sn.Cell("top")
 	if !ok {
@@ -260,7 +303,7 @@ func TestStreamRecordResync(t *testing.T) {
 
 // TestStreamBoundedWindow: parsing a design far larger than the scanner
 // chunk must keep the parse window near the chunk size — the bounded
-// memory claim — while producing the same netlist as the buffered reader.
+// memory claim — while producing the same netlist as the reference.
 func TestStreamBoundedWindow(t *testing.T) {
 	nl := netlist.New()
 	leaf, _ := nl.AddCell("leaf")
@@ -298,11 +341,11 @@ func TestStreamBoundedWindow(t *testing.T) {
 		t.Errorf("MaxWindow = %d is not small relative to the %d-byte input", stats.MaxWindow, total)
 	}
 
-	bn, _, berr := ReadBytes(buf.Bytes(), ReadOptions{RequireTrailer: true})
+	bn, _, berr := refReadBytes(buf.Bytes(), ReadOptions{RequireTrailer: true})
 	if berr != nil {
 		t.Fatal(berr)
 	}
 	if !reflect.DeepEqual(bn, sn) {
-		t.Fatal("streaming netlist differs from buffered on the large design")
+		t.Fatal("netlist differs from the reference on the large design")
 	}
 }

@@ -13,12 +13,13 @@ import (
 // E16Scale measures the mechanism this repo relies on past ~10⁵ nets: the
 // streaming interchange reader, with a bounded parse window instead of a
 // whole-file buffer. It pipes workgen's streaming emitter straight into
-// the streaming reader — the file never exists in memory — and reports the
+// the reader — the file never exists in memory — and reports the
 // parse-window high-water mark against the input size, plus an equality
-// verdict against the buffered reader where the buffered side is cheap
-// enough to run. Every number is a count, size or ratio — no timing — so
-// the report is byte-identical at any worker count; ns/net lives in the
-// benchmark suite (BenchmarkExchangeScale) and BENCH_PR6.json.
+// verdict against the same design read from memory (ReadBytes) where the
+// materialized file is cheap enough to hold. Every number is a count,
+// size or ratio — no timing — so the report is byte-identical at any
+// worker count; ns/net lives in the benchmark suite
+// (BenchmarkExchangeScale) and BENCH_PR6.json.
 func E16Scale() (*Report, error) {
 	r := &Report{ID: "E16", Title: "scale: streaming interchange window (seed 16)"}
 
@@ -43,7 +44,7 @@ func E16Scale() (*Report, error) {
 		if st.Nets != info.Nets || st.Instances != info.Insts || st.Pins != info.Conns {
 			manifest = "MISMATCH"
 		}
-		// The buffered reader needs the whole file in memory — run the
+		// The in-memory read needs the whole file in memory — run the
 		// cross-check at the sizes where that is cheap; the byte-identity
 		// of emitter and writer plus the trailer checksum cover the rest.
 		verdict := "(skipped)"

@@ -419,7 +419,7 @@ func TestE16(t *testing.T) {
 		t.Fatal(err)
 	}
 	joined := strings.Join(r.Lines, "\n")
-	// Every equality verdict must hold: streaming parse vs buffered parse,
+	// Every equality verdict must hold: piped parse vs in-memory parse,
 	// parsed elements vs manifest.
 	if strings.Contains(joined, "DIVERGED") || strings.Contains(joined, "MISMATCH") {
 		t.Fatalf("equivalence verdict failed:\n%s", joined)

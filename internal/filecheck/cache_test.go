@@ -61,13 +61,6 @@ func TestVetCacheInvalidation(t *testing.T) {
 	if cache.Hits() != 1 {
 		t.Errorf("mode flip hit the strict entry")
 	}
-	// Stream flip: different reader family.
-	if _, err := vetFile(p, Options{Mode: diag.Strict, Stream: true, Cache: cache}); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Hits() != 1 {
-		t.Errorf("stream flip hit the buffered entry")
-	}
 	// Content edit.
 	if err := os.WriteFile(p, []byte("(edif d2 (cell c (interface) (primitive)))"), 0o644); err != nil {
 		t.Fatal(err)

@@ -37,16 +37,8 @@ type Options struct {
 	// (0 = GOMAXPROCS, 1 = sequential). Output order and every verdict are
 	// identical at any setting.
 	Jobs int
-	// Stream selects the streaming readers for the formats that have one
-	// (exchange, cadence; viewlogic always streams), so large files are
-	// vetted in bounded memory instead of being read whole. On well-formed
-	// inputs verdicts and diagnostics are identical to the buffered
-	// readers'; on lexically damaged lenient inputs the streaming readers
-	// resynchronize at record granularity and salvage strictly more (see
-	// the documented divergences in exchange.ReadStream).
-	Stream bool
 	// Cache memoizes each file's rendered diagnostics block and abort
-	// verdict by (content hash, path, mode, stream); see internal/memo.
+	// verdict by (content hash, path, mode); see internal/memo.
 	// Repeat vets of unchanged files are answered without re-parsing. Nil
 	// disables memoization.
 	Cache *memo.Cache
@@ -67,20 +59,35 @@ var Extensions = map[string]string{
 // is non-nil exactly when the parse aborted (in strict mode, any
 // error-severity diagnostic; in lenient mode, only unrecoverable damage).
 func CheckBytes(name string, data []byte, mode diag.Mode) ([]diag.Diagnostic, error) {
+	return check(name, bytes.NewReader(data), mode)
+}
+
+// check is CheckBytes over a reader. The exchange, viewlogic and cadence
+// readers parse straight off r in bounded memory; the hdl and a/L parsers
+// take the whole input.
+func check(name string, r io.Reader, mode diag.Mode) ([]diag.Diagnostic, error) {
 	switch strings.ToLower(filepath.Ext(name)) {
 	case ".edf", ".edif":
-		_, diags, err := exchange.ReadBytes(data, exchange.ReadOptions{Mode: mode, Source: name})
+		_, diags, err := exchange.ReadStream(r, exchange.ReadOptions{Mode: mode, Source: name})
 		return diags, err
 	case ".vl", ".wir":
-		_, diags, err := vl.ReadWithDiagnostics(bytes.NewReader(data), vl.ReadOptions{Mode: mode, Source: name})
+		_, diags, err := vl.ReadWithDiagnostics(r, vl.ReadOptions{Mode: mode, Source: name})
 		return diags, err
 	case ".cd", ".cds":
-		_, diags, err := cd.ReadBytes(data, cd.ReadOptions{Mode: mode, Source: name})
+		_, diags, err := cd.ReadStream(r, cd.ReadOptions{Mode: mode, Source: name})
 		return diags, err
 	case ".v":
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
 		_, diags, err := hdl.ParseWithDiagnostics(string(data), hdl.ParseOptions{Mode: mode, Source: name})
 		return diags, err
 	case ".al", ".il":
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, err
+		}
 		src := string(data)
 		if mode == diag.Strict {
 			if _, err := al.Parse(src); err != nil {
@@ -128,43 +135,15 @@ func CheckFile(path string, mode diag.Mode) ([]diag.Diagnostic, error) {
 	return CheckFileOpts(path, Options{Mode: mode})
 }
 
-// CheckFileOpts vets one file under the full option set. With Stream set,
-// formats with a streaming reader parse straight off the open file in
-// bounded memory; everything else falls back to the buffered path.
+// CheckFileOpts vets one file under the full option set, parsing it
+// straight off the open file.
 func CheckFileOpts(path string, opts Options) ([]diag.Diagnostic, error) {
-	if opts.Stream {
-		switch strings.ToLower(filepath.Ext(path)) {
-		case ".edf", ".edif":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := exchange.ReadStream(r, exchange.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		case ".cd", ".cds":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := cd.ReadStream(r, cd.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		case ".vl", ".wir":
-			return checkStream(path, func(r io.Reader) ([]diag.Diagnostic, error) {
-				_, diags, err := vl.ReadWithDiagnostics(r, vl.ReadOptions{Mode: opts.Mode, Source: path})
-				return diags, err
-			})
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return CheckBytes(path, data, opts.Mode)
-}
-
-func checkStream(path string, read func(io.Reader) ([]diag.Diagnostic, error)) ([]diag.Diagnostic, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return read(f)
+	return check(path, f, opts.Mode)
 }
 
 // Files vets every path, printing diagnostics and a per-file summary to w.
@@ -203,15 +182,16 @@ func FilesOpts(w io.Writer, paths []string, opts Options) error {
 
 // vetFile produces one file's rendered block and abort verdict, consulting
 // the cache when Options.Cache is set. The key is content-addressed (file
-// bytes) plus path, mode, and stream — path included because diagnostics
-// embed it, so identical bytes under two names must not share an entry.
+// bytes) plus path and mode — path included because diagnostics embed it,
+// so identical bytes under two names must not share an entry.
 func vetFile(path string, opts Options) (string, error) {
 	if opts.Cache == nil {
-		return renderFile(path, opts)
+		diags, err := CheckFileOpts(path, opts)
+		return render(path, opts.Mode, diags, err)
 	}
 	data, rerr := os.ReadFile(path)
 	if rerr != nil {
-		return renderFile(path, opts) // unreadable: uncached failure path
+		return render(path, opts.Mode, nil, rerr) // unreadable: uncached failure path
 	}
 	sum := sha256.Sum256(data)
 	key := memo.Key{
@@ -220,7 +200,6 @@ func vetFile(path string, opts Options) (string, error) {
 		Options: memo.NewFP("filecheck.Options/v1").
 			Str("path", path).
 			Int("mode", int(opts.Mode)).
-			Bool("stream", opts.Stream).
 			Sum(),
 	}
 	if enc, ok := opts.Cache.Get(key); ok {
@@ -228,17 +207,19 @@ func vetFile(path string, opts Options) (string, error) {
 			return text, err
 		}
 	}
-	text, err := renderFile(path, opts)
+	// Parse the bytes that were hashed: a second read of the path could
+	// see other content and store its verdict under this key.
+	diags, err := CheckBytes(path, data, opts.Mode)
+	text, err := render(path, opts.Mode, diags, err)
 	opts.Cache.Put(key, encodeVet(text, err))
 	return text, err
 }
 
-// renderFile vets one file and renders its diagnostics block — every
-// diagnostic line followed by the verdict line — returning the abort error
-// (wrapped with the path) when the parse gave up.
-func renderFile(path string, opts Options) (string, error) {
+// render renders one file's diagnostics block — every diagnostic line
+// followed by the verdict line — returning the abort error (wrapped with
+// the path) when the parse gave up.
+func render(path string, mode diag.Mode, diags []diag.Diagnostic, err error) (string, error) {
 	var sb strings.Builder
-	diags, err := CheckFileOpts(path, opts)
 	for _, d := range diags {
 		fmt.Fprintln(&sb, d)
 	}
@@ -249,7 +230,7 @@ func renderFile(path string, opts Options) (string, error) {
 	} else if errs > 0 {
 		verdict = "recovered"
 	}
-	fmt.Fprintf(&sb, "%s: %s (%s mode, %d error(s), %d warning(s))\n", path, verdict, opts.Mode, errs, warns)
+	fmt.Fprintf(&sb, "%s: %s (%s mode, %d error(s), %d warning(s))\n", path, verdict, mode, errs, warns)
 	if err != nil {
 		err = fmt.Errorf("%s: %w", path, err)
 	}

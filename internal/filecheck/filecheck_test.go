@@ -103,25 +103,21 @@ func writeCorpus(t *testing.T) []string {
 }
 
 func TestFilesOptsIdenticalAcrossKnobs(t *testing.T) {
-	// Jobs is a pure scheduling knob: for a fixed (Mode, Stream) the
-	// rendered output and returned error never change. Stream picks a
-	// different reader, so it gets its own reference run.
+	// Jobs is a pure scheduling knob: for a fixed Mode the rendered output
+	// and returned error never change.
 	paths := writeCorpus(t)
 	for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-		for _, streaming := range []bool{false, true} {
-			var ref strings.Builder
-			refErr := FilesOpts(&ref, paths, Options{Mode: mode, Jobs: 1, Stream: streaming})
-			for _, jobs := range []int{1, 4, 8} {
-				var sb strings.Builder
-				err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs, Stream: streaming})
-				if sb.String() != ref.String() {
-					t.Fatalf("%s jobs=%d stream=%v output diverged:\n--- ref ---\n%s--- got ---\n%s",
-						mode, jobs, streaming, ref.String(), sb.String())
-				}
-				if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
-					t.Fatalf("%s jobs=%d stream=%v err = %v, want %v",
-						mode, jobs, streaming, err, refErr)
-				}
+		var ref strings.Builder
+		refErr := FilesOpts(&ref, paths, Options{Mode: mode, Jobs: 1})
+		for _, jobs := range []int{1, 4, 8} {
+			var sb strings.Builder
+			err := FilesOpts(&sb, paths, Options{Mode: mode, Jobs: jobs})
+			if sb.String() != ref.String() {
+				t.Fatalf("%s jobs=%d output diverged:\n--- ref ---\n%s--- got ---\n%s",
+					mode, jobs, ref.String(), sb.String())
+			}
+			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+				t.Fatalf("%s jobs=%d err = %v, want %v", mode, jobs, err, refErr)
 			}
 		}
 	}
@@ -139,38 +135,41 @@ func TestFilesOptsFirstErrorIsLowestPath(t *testing.T) {
 	}
 }
 
-func TestCheckFileOptsStreamMatchesBuffered(t *testing.T) {
-	// On well-formed inputs the streaming readers are byte-equivalent to
-	// the buffered ones. On lexically damaged lenient inputs they diverge
-	// by design (streaming salvages at record granularity; see
-	// exchange.ReadStream) — there both must still surface the damage as
-	// error-severity diagnostics, but the exact messages differ.
+// TestCheckFileOptsMatchesCheckBytes: a vet parses straight off the open
+// file (CheckFileOpts) or from bytes already in memory (CheckBytes, the
+// cache-miss path). The two must render identical output on damaged
+// inputs of every format, lexically broken records included.
+func TestCheckFileOptsMatchesCheckBytes(t *testing.T) {
 	paths := writeCorpus(t)
+	dir := filepath.Dir(paths[0])
+	for name, data := range map[string]string{
+		"h_resync.edf": `(edif e (cell top (interface) (contents (net good1) (net "bad\q") (net good2))) (design top))`,
+		"i_resync.cd":  `(design a (cell c (page 1 (size 0 0 9 9) (wire (0 0) (4 0)) (label "bad\q" (at 1 1)))))`,
+		"j_stray.cd":   `) (design a (cell c))`,
+		"k_bad.vl":     "V vl 1\nD d 1/10in\nZ bogus\n",
+	} {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
 	for _, p := range paths {
-		damaged := strings.Contains(filepath.Base(p), "_bad.")
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-			bufDiags, bufErr := CheckFileOpts(p, Options{Mode: mode})
-			strDiags, strErr := CheckFileOpts(p, Options{Mode: mode, Stream: true})
-			if damaged {
-				if diag.Count(bufDiags, diag.Error) == 0 && bufErr == nil {
-					t.Errorf("%s %s: buffered reader missed the damage", filepath.Base(p), mode)
-				}
-				if diag.Count(strDiags, diag.Error) == 0 && strErr == nil {
-					t.Errorf("%s %s: streaming reader missed the damage", filepath.Base(p), mode)
-				}
-				continue
+			fdiags, ferr := CheckFileOpts(p, Options{Mode: mode})
+			ftext, ferr := render(p, mode, fdiags, ferr)
+			bdiags, berr := CheckBytes(p, data, mode)
+			btext, berr := render(p, mode, bdiags, berr)
+			if ftext != btext {
+				t.Errorf("%s %s: CheckFileOpts and CheckBytes differ:\n--- file ---\n%s--- bytes ---\n%s",
+					filepath.Base(p), mode, ftext, btext)
 			}
-			if (bufErr == nil) != (strErr == nil) {
-				t.Errorf("%s %s: buffered err %v vs stream err %v", filepath.Base(p), mode, bufErr, strErr)
-			}
-			if len(bufDiags) != len(strDiags) {
-				t.Errorf("%s %s: %d buffered diags vs %d streamed", filepath.Base(p), mode, len(bufDiags), len(strDiags))
-				continue
-			}
-			for i := range bufDiags {
-				if bufDiags[i].String() != strDiags[i].String() {
-					t.Errorf("%s %s diag %d: %v vs %v", filepath.Base(p), mode, i, bufDiags[i], strDiags[i])
-				}
+			if fmt.Sprint(ferr) != fmt.Sprint(berr) {
+				t.Errorf("%s %s: CheckFileOpts err %v, CheckBytes err %v", filepath.Base(p), mode, ferr, berr)
 			}
 		}
 	}

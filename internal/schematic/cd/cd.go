@@ -8,6 +8,7 @@ package cd
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -144,52 +145,20 @@ type ReadOptions struct {
 
 // Read parses a design from s-expression form (strict-mode entry point).
 func Read(r io.Reader, opts ReadOptions) (*schematic.Design, error) {
-	d, _, err := ReadWithDiagnostics(r, opts)
+	d, _, err := ReadStream(r, opts)
 	return d, err
 }
 
-// ReadWithDiagnostics parses under the given policy. Quarantine granularity
-// is the record: a malformed symbol, port, instance, wire, label, connector
-// or text form is skipped with a position-carrying diagnostic and the rest
-// of the design is still imported.
-func ReadWithDiagnostics(r io.Reader, opts ReadOptions) (*schematic.Design, []diag.Diagnostic, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ReadBytes(data, opts)
-}
-
-// ReadBytes is ReadWithDiagnostics over an in-memory input.
+// ReadBytes is ReadStream over an in-memory input.
 func ReadBytes(data []byte, opts ReadOptions) (*schematic.Design, []diag.Diagnostic, error) {
-	col := diag.New(opts.Mode, opts.Source, ErrFormat)
-	rd := &cdReader{src: string(data), col: col}
-	d, err := rd.read(opts.Lint)
-	if err != nil {
-		return nil, col.Diags, err
-	}
-	if d == nil {
-		// The toplevel (design ...) form itself was quarantined; there is
-		// nothing to recover.
-		return nil, col.Diags, fmt.Errorf("%w: no usable (design ...) form", ErrFormat)
-	}
-	if err := schematic.Reconcile(d, col); err != nil {
-		return nil, col.Diags, err
-	}
-	if opts.Mode == diag.Strict {
-		if err := col.Err(); err != nil {
-			return nil, col.Diags, err
-		}
-	}
-	return d, col.Diags, nil
+	return ReadStream(bytes.NewReader(data), opts)
 }
 
+// cdReader holds what the record handlers share: the diagnostic
+// collector, and the scanner whose window resolves offsets to positions.
 type cdReader struct {
-	src string
 	col *diag.Collector
-	// sc is set by the streaming reader; positions then resolve against
-	// the scanner's window instead of a full-input buffer.
-	sc *al.Scanner
+	sc  *al.Scanner
 }
 
 func (rd *cdReader) pos(pt *al.PosTree) diag.Pos {
@@ -197,67 +166,18 @@ func (rd *cdReader) pos(pt *al.PosTree) diag.Pos {
 }
 
 func (rd *cdReader) posAt(off int) diag.Pos {
-	if rd.sc != nil {
-		if off < 0 {
-			return diag.NoPos
-		}
-		if line, col, ok := rd.sc.LineColAt(off); ok {
-			return diag.Pos{Offset: off, Line: line, Col: col}
-		}
-		return diag.Pos{Offset: off}
+	if off < 0 {
+		return diag.NoPos
 	}
-	return diag.LineCol(rd.src, off)
+	if line, col, ok := rd.sc.LineColAt(off); ok {
+		return diag.Pos{Offset: off, Line: line, Col: col}
+	}
+	return diag.Pos{Offset: off}
 }
 
-func (rd *cdReader) read(lint bool) (*schematic.Design, error) {
-	var exprs []al.Value
-	var trees []*al.PosTree
-	if rd.col.Mode == diag.Lenient {
-		var aborted error
-		exprs, trees = al.ParseRecover(rd.src, func(off int, msg string) {
-			if aborted == nil {
-				aborted = rd.col.Errorf("parse", diag.LineCol(rd.src, off), "%s", msg)
-			}
-		})
-		if aborted != nil {
-			return nil, aborted
-		}
-	} else {
-		var err error
-		exprs, trees, err = al.ParseTracked(rd.src)
-		if err != nil {
-			return nil, rd.col.Errorf("parse", diag.NoPos, "%v", err)
-		}
-	}
-	if len(exprs) != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (design ...) form, got %d", len(exprs))
-	}
-	top, ok := exprs[0].(al.List)
-	tt := trees[0]
-	if !ok || len(top) < 2 || !isSym(top[0], "design") {
-		return nil, rd.col.Errorf("parse", rd.pos(tt), "missing (design ...) form")
-	}
-	name, err := symOrStr(top[1])
-	if err != nil {
-		return nil, rd.col.Errorf("record", rd.pos(tt.Kid(1)), "design name: %v", err)
-	}
-	d := schematic.NewDesign(name, geom.GridSixteenth)
-	for i, item := range top[2:] {
-		if err := rd.readDesignItem(d, item, tt.Kid(i+2)); err != nil {
-			return nil, err
-		}
-	}
-	if lint {
-		if vs := schematic.CD.Check(d); len(vs) > 0 {
-			if err := rd.col.Errorf("lint", diag.NoPos, "dialect violations: %d (first: %s)", len(vs), vs[0]); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return d, nil
-}
-
-// readDesignItem handles one direct child of the (design ...) form.
+// readDesignItem handles one materialized direct child of the (design
+// ...) form; libraries and cells never arrive here, because the reader
+// walks them record by record.
 func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.PosTree) error {
 	l, ok := item.(al.List)
 	if !ok || len(l) == 0 {
@@ -298,29 +218,8 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 			}
 			d.Globals = append(d.Globals, s)
 		}
-	case "library":
-		return rd.readLibrary(d, l, it)
-	case "cell":
-		return rd.readCell(d, l, it)
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown form %q", head)
-	}
-	return nil
-}
-
-func (rd *cdReader) readLibrary(d *schematic.Design, l al.List, lt *al.PosTree) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "library needs a name")
-	}
-	name, err := symOrStr(l[1])
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "library name: %v", err)
-	}
-	lib := d.EnsureLibrary(name)
-	for i, item := range l[2:] {
-		if err := rd.readLibraryItem(lib, item, lt.Kid(i+2)); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -397,27 +296,9 @@ func parseSymbol(item al.Value) (*schematic.Symbol, error) {
 	return sym, nil
 }
 
-func (rd *cdReader) readCell(d *schematic.Design, l al.List, lt *al.PosTree) error {
-	if len(l) < 2 {
-		return rd.col.Errorf("record", rd.pos(lt), "cell needs a name")
-	}
-	name, err := symOrStr(l[1])
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt.Kid(1)), "cell name: %v", err)
-	}
-	cell, err := d.AddCell(name)
-	if err != nil {
-		return rd.col.Errorf("record", rd.pos(lt), "%v", err)
-	}
-	for i, item := range l[2:] {
-		if err := rd.readCellItem(cell, item, lt.Kid(i+2)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readCellItem handles one direct child of a (cell ...) form.
+// readCellItem handles one materialized direct child of a (cell ...)
+// form; pages never arrive here, because the reader walks them record by
+// record.
 func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.PosTree) error {
 	cl, ok := item.(al.List)
 	if !ok || len(cl) == 0 {
@@ -445,40 +326,8 @@ func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.Pos
 		if err != nil {
 			return rd.col.Errorf("record", rd.pos(it), "%v", err)
 		}
-	case "page":
-		return rd.readPage(cell, cl, it)
 	default:
 		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", h)
-	}
-	return nil
-}
-
-func (rd *cdReader) readPage(cell *schematic.Cell, l al.List, lt *al.PosTree) error {
-	var size geom.Rect
-	body := l
-	bodyStart := len(l) // consume nothing by default
-	if len(l) >= 2 {
-		bodyStart = 2 // (page index ...)
-	}
-	if len(l) >= 3 {
-		if sl, ok := l[2].(al.List); ok && len(sl) == 5 && isSym(sl[0], "size") {
-			xs, err := nums(sl[1:], 4)
-			if err != nil {
-				if aerr := rd.col.Errorf("record", rd.pos(lt.Kid(2)), "page size: %v", err); aerr != nil {
-					return aerr
-				}
-			} else {
-				size = geom.R(xs[0], xs[1], xs[2], xs[3])
-			}
-			bodyStart = 3
-		}
-	}
-	body = l[bodyStart:]
-	pg := cell.AddPage(size)
-	for i, item := range body {
-		if err := rd.readPageItem(pg, item, lt.Kid(i+bodyStart)); err != nil {
-			return err
-		}
 	}
 	return nil
 }

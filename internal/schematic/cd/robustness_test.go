@@ -2,7 +2,9 @@ package cd
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
+	"testing/iotest"
 
 	"cadinterop/internal/diag"
 	"cadinterop/internal/diag/diagtest"
@@ -10,20 +12,28 @@ import (
 
 // cdCandidate is the robustness contract for the Cadence reader: under both
 // modes, arbitrary bytes either parse, recover, or error — never a panic,
-// and never an accepted design that fails Validate.
-func cdCandidate(data []byte) error {
-	for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
-		d, _, err := ReadBytes(data, ReadOptions{Mode: mode, Source: "sweep"})
-		if err != nil {
-			continue
-		}
-		if d != nil {
-			if verr := d.Validate(); verr != nil {
-				return diagtest.ValidateViolation(verr)
+// and never an accepted design that fails Validate. The input is also fed
+// to ReadStream one byte at a time, so every sweep crosses the scanner's
+// window refills; any difference from ReadBytes fails t.
+func cdCandidate(t testing.TB) diagtest.ParseFn {
+	return func(data []byte) error {
+		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {
+			opts := ReadOptions{Mode: mode, Source: "sweep"}
+			d, diags, err := ReadBytes(data, opts)
+			sd, sdiags, serr := ReadStream(iotest.OneByteReader(bytes.NewReader(data)), opts)
+			assertSameRead(t, fmt.Sprintf("%v, ReadStream one byte at a time vs ReadBytes, input %q", mode, data),
+				d, diags, err, sd, sdiags, serr)
+			if err != nil {
+				continue
+			}
+			if d != nil {
+				if verr := d.Validate(); verr != nil {
+					return diagtest.ValidateViolation(verr)
+				}
 			}
 		}
+		return nil
 	}
-	return nil
 }
 
 func cdSweepSource(t testing.TB) []byte {
@@ -36,15 +46,15 @@ func cdSweepSource(t testing.TB) []byte {
 }
 
 func TestPrefixSweep(t *testing.T) {
-	diagtest.PrefixSweep(t, cdSweepSource(t), 1, cdCandidate)
+	diagtest.PrefixSweep(t, cdSweepSource(t), 1, cdCandidate(t))
 }
 
 func TestMutationSweep(t *testing.T) {
-	diagtest.MutationSweep(t, cdSweepSource(t), 0xc1, 400, cdCandidate)
+	diagtest.MutationSweep(t, cdSweepSource(t), 0xc1, 400, cdCandidate(t))
 }
 
 func TestTruncateMidline(t *testing.T) {
-	diagtest.TruncateMidline(t, cdSweepSource(t), cdCandidate)
+	diagtest.TruncateMidline(t, cdSweepSource(t), cdCandidate(t))
 }
 
 func FuzzParse(f *testing.F) {
@@ -53,7 +63,7 @@ func FuzzParse(f *testing.F) {
 	f.Add([]byte("(design d (grid 10) (cell c (page 1)))"))
 	f.Add([]byte("(design"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if err := cdCandidate(data); err != nil && diagtest.IsViolation(err) {
+		if err := cdCandidate(t)(data); err != nil && diagtest.IsViolation(err) {
 			t.Fatal(err)
 		}
 	})

@@ -1,22 +1,16 @@
-// Streaming reader.
+// The cd reader.
 //
-// ReadStream parses the same s-expression database as Read without
-// materializing the input: library symbols and page records — the
+// ReadStream is the package's one reader; Read and ReadBytes wrap it. It
+// never materializes the input: library symbols and page records — the
 // unbounded parts of a large schematic — are parsed one at a time from an
 // al.Scanner window and the consumed bytes discarded at each record
 // boundary, so peak memory is bounded by one record plus one read chunk
 // regardless of design size.
 //
-// Equivalence with the buffered reader mirrors the exchange package's
-// streaming contract: any input the buffered reader accepts yields an
-// identical design and identical diagnostics (the record handlers are
-// shared code), and semantically-bad-but-well-formed records produce the
-// same diagnostics in the same order at the same positions. The
-// divergences are the same two documented there, both confined to
-// already-broken inputs: lenient lexically-broken records are salvaged at
-// record granularity (the buffered recovery quarantines the whole
-// toplevel form), and multi-form inputs report their form-count error
-// identically but may differ in which record diagnostics accompany it.
+// The contract on broken input is the exchange reader's: a strict read
+// stops at the first fault in document order, a lenient read quarantines
+// each damaged record — lexically broken ones included — and salvages
+// every other record, and al.MaxDepth bounds nesting within each record.
 package cd
 
 import (
@@ -37,8 +31,11 @@ type StreamStats struct {
 	InputBytes int64
 }
 
-// ReadStream is ReadWithDiagnostics with bounded memory: the input is
-// parsed incrementally instead of being read whole.
+// ReadStream parses a design under the given policy, in bounded memory
+// (see the comment at the top of this file). Quarantine granularity is
+// the record: a malformed symbol, port, instance, wire, label, connector
+// or text form is skipped with a position-carrying diagnostic and the rest
+// of the design is still imported.
 func ReadStream(r io.Reader, opts ReadOptions) (*schematic.Design, []diag.Diagnostic, error) {
 	d, diags, _, err := ReadStreamStats(r, opts)
 	return d, diags, err
@@ -105,9 +102,8 @@ func (st *cdStream) run(lint bool) (*schematic.Design, error) {
 			break
 		}
 		if tok == ")" {
-			// Stray toplevel close paren: diagnosed and skipped. (The
-			// buffered recovery also consumes the form after it; keeping
-			// that form is part of the streaming salvage divergence.)
+			// Stray toplevel close paren: diagnosed and skipped; the form
+			// after it is read as usual.
 			perr := fmt.Errorf("%w: offset %d: unexpected )", al.ErrParse, off)
 			if rd.col.Mode == diag.Strict {
 				return nil, rd.col.Errorf("parse", diag.NoPos, "%v", perr)
@@ -182,7 +178,7 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 	case "":
 		return nil, st.unterminated(openOff)
 	case ")":
-		// (design) — too short to be usable, like the buffered length check.
+		// (design) — too short to be usable.
 		sc.Next()
 		st.missing = true
 		st.missingPos = st.designPos
@@ -198,7 +194,6 @@ func (st *cdStream) walkDesign(openOff int) (*schematic.Design, error) {
 	}
 	name, err := symOrStr(nameV)
 	if err != nil {
-		// The buffered reader bails out of the whole form on a bad name.
 		if aerr := rd.col.Errorf("record", rd.pos(namePT), "design name: %v", err); aerr != nil {
 			return nil, aerr
 		}
@@ -279,7 +274,6 @@ func (st *cdStream) walkLibrary(d *schematic.Design, openOff int) error {
 	}
 	name, err := symOrStr(nameV)
 	if err != nil {
-		// The buffered reader skips the whole library on a bad name.
 		if aerr := rd.col.Errorf("record", rd.pos(namePT), "library name: %v", err); aerr != nil {
 			return aerr
 		}
@@ -408,7 +402,7 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 		return st.unterminated(openOff)
 	case ")":
 		sc.Next()
-		cell.AddPage(geom.Rect{}) // (page) keeps an empty page, as buffered
+		cell.AddPage(geom.Rect{}) // (page) keeps an empty page
 		return nil
 	}
 	if err := sc.SkipForm(); err != nil { // the page index, never inspected
@@ -483,10 +477,9 @@ func (st *cdStream) walkPage(cell *schematic.Cell, openOff int) error {
 	}
 }
 
-// recordParseErr mirrors the buffered reader's handling of a parse error:
-// strict reports at NoPos, as the ParseTracked caller does, and aborts;
-// lenient reports at the record's start and resynchronizes the scanner
-// past the damaged record.
+// recordParseErr handles a parse error: strict reports at NoPos and
+// aborts; lenient reports at the record's start and resynchronizes the
+// scanner past the damaged record.
 func (st *cdStream) recordParseErr(off int, err error) error {
 	if st.rd.col.Mode == diag.Strict {
 		return st.rd.col.Errorf("parse", diag.NoPos, "%v", err)
@@ -499,8 +492,8 @@ func (st *cdStream) recordParseErr(off int, err error) error {
 }
 
 // unterminated reports end of input inside an open form, with the message
-// the whole-input parse produces for the innermost unclosed list. The
-// lenient position is the toplevel form start, as ParseRecover reports.
+// al's whole-input parse gives for an unclosed list. The lenient position
+// is the toplevel form start.
 func (st *cdStream) unterminated(openOff int) error {
 	err := fmt.Errorf("%w: offset %d: unterminated list", al.ErrParse, openOff)
 	if st.rd.col.Mode == diag.Strict {

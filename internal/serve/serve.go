@@ -171,7 +171,6 @@ type CheckRequest struct {
 	Files      []string `json:"files"`
 	Lenient    bool     `json:"lenient,omitempty"`
 	Jobs       int      `json:"jobs,omitempty"`
-	Stream     bool     `json:"stream,omitempty"`
 	DeadlineMS int64    `json:"deadline_ms,omitempty"`
 }
 
@@ -191,7 +190,7 @@ func Check(ctx context.Context, w io.Writer, req CheckRequest, cache *memo.Cache
 	if req.Lenient {
 		mode = diag.Lenient
 	}
-	opts := filecheck.Options{Mode: mode, Jobs: req.Jobs, Stream: req.Stream, Cache: cache}
+	opts := filecheck.Options{Mode: mode, Jobs: req.Jobs, Cache: cache}
 	return filecheck.FilesOpts(w, req.Files, opts)
 }
 

@@ -152,6 +152,24 @@ func TestCheckEquivalence(t *testing.T) {
 	}
 }
 
+// TestCheckIgnoresStreamField: /v1/check bodies once carried a "stream"
+// field that picked between two readers. Old clients may still send it;
+// the answer must be byte for byte the one the same body gets without it,
+// including on a lexically broken file, where the two readers differed.
+func TestCheckIgnoresStreamField(t *testing.T) {
+	dir := t.TempDir()
+	bad := writeFile(t, dir, "bad.edf", `(edif e (cell top (interface) (contents (net good1) (net "bad\q") (net good2))) (design top))`)
+	_, ts := newTestServer(t, Config{Workers: 2})
+	for _, lenient := range []bool{false, true} {
+		body := fmt.Sprintf(`{"files":[%q],"lenient":%t`, bad, lenient)
+		wantStatus, _, want := postJSON(t, ts.URL+"/v1/check", body+"}")
+		status, _, got := postJSON(t, ts.URL+"/v1/check", body+`,"stream":true}`)
+		if status != wantStatus || got != want {
+			t.Errorf("lenient=%v: with \"stream\" got %d %s\nwithout it %d %s", lenient, status, got, wantStatus, want)
+		}
+	}
+}
+
 func writeFile(t *testing.T, dir, name, text string) string {
 	t.Helper()
 	p := filepath.Join(dir, name)

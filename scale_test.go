@@ -40,12 +40,13 @@ func TestScaleMigration(t *testing.T) {
 }
 
 // TestScaleStreamingInterchange is the 100×-scale acceptance check for the
-// streaming reader: a 10⁵-net design parses to the identical netlist and
-// diagnostics as the buffered reader, and the parse window — the only
-// input-proportional memory the streaming path would otherwise need —
-// stays near the 32KB scanner chunk instead of the ~10MB file. The same
-// design is then parsed a second time straight off the generator through
-// an io.Pipe, so no byte of the file is ever materialized.
+// exchange reader's entry points: a 10⁵-net design parses to the identical
+// netlist and diagnostics from memory (ReadBytes) and from a reader
+// (ReadStreamStats), and the parse window — the only input-proportional
+// memory the reader would otherwise need — stays near the 32KB scanner
+// chunk instead of the ~10MB file. The same design is then parsed a third
+// time straight off the generator through an io.Pipe, so no byte of the
+// file is ever materialized.
 func TestScaleStreamingInterchange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale test")
@@ -60,17 +61,17 @@ func TestScaleStreamingInterchange(t *testing.T) {
 
 	bnl, bdiags, berr := exchange.ReadBytes(buf.Bytes(), ropts)
 	if berr != nil {
-		t.Fatalf("buffered read: %v", berr)
+		t.Fatalf("in-memory read: %v", berr)
 	}
 	snl, sdiags, stats, serr := exchange.ReadStreamStats(bytes.NewReader(buf.Bytes()), ropts)
 	if serr != nil {
-		t.Fatalf("streaming read: %v", serr)
+		t.Fatalf("reader read: %v", serr)
 	}
 	if !reflect.DeepEqual(bdiags, sdiags) {
-		t.Fatalf("diagnostics mismatch:\nbuffered:\n%s\nstream:\n%s", diag.Render(bdiags), diag.Render(sdiags))
+		t.Fatalf("diagnostics mismatch:\nin-memory:\n%s\nreader:\n%s", diag.Render(bdiags), diag.Render(sdiags))
 	}
 	if !reflect.DeepEqual(bnl, snl) {
-		t.Fatal("streaming netlist differs from buffered netlist")
+		t.Fatal("netlist read from a reader differs from the in-memory read")
 	}
 	if stats.InputBytes != info.Bytes {
 		t.Errorf("InputBytes = %d, want %d", stats.InputBytes, info.Bytes)
@@ -89,7 +90,7 @@ func TestScaleStreamingInterchange(t *testing.T) {
 		t.Fatalf("piped read: %v", perr)
 	}
 	if !reflect.DeepEqual(bnl, pnl) || !reflect.DeepEqual(bdiags, pdiags) {
-		t.Fatal("piped streaming parse differs from buffered parse")
+		t.Fatal("piped parse differs from the in-memory parse")
 	}
 	if st := pnl.Stats(); st.Nets != info.Nets || st.Instances != info.Insts {
 		t.Errorf("parsed %d nets / %d insts, manifest says %d / %d",
