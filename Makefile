@@ -11,18 +11,13 @@ GO ?= go
 RACE_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./... | grep 'cadinterop/internal/par' | cut -d' ' -f1)
 RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/internal/obs cadinterop/internal/memo cadinterop/internal/journal
 
-# Benchmarks aggregated into BENCH_PR7.json, all in the root package: the
-# PR 2 sweep, the scale trajectory (streaming interchange, end-to-end
-# serial route), and the repeat-work pair (incremental reroute, warm flow
-# cache) whose reroute-frac and hit-rate ride along under "extra".
-# Override BENCH / BENCH_COUNT for a quicker or broader sweep; BASELINE
-# defaults to the previous PR's committed numbers so per-metric deltas
-# land in the report.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkRouteIncremental|BenchmarkFlowCacheWarm
-BENCH_PKGS ?= .
+# The go test benchmarks run by `make bench`, all in the root package: the
+# experiment sweep, the scale trajectory (interchange read, end-to-end
+# serial route) and the warm flow cache. Override BENCH / BENCH_COUNT for
+# a quicker or broader run. Performance claims are measured by the bench/
+# harness (bench/ab.sh), not here.
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkFlowCacheWarm
 BENCH_COUNT ?= 5
-BENCH_OUT ?= BENCH_PR7.json
-BASELINE ?= BENCH_PR6.json
 
 # Packages with native fuzz targets and committed seed corpora
 # (testdata/fuzz/FuzzParse for the parsers, FuzzJournalReplay for the
@@ -94,6 +89,4 @@ fuzz:
 	done
 
 bench:
-	$(GO) test -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) -run '^$$' $(BENCH_PKGS) | tee bench_out.txt
-	$(GO) run ./tools/benchjson $(if $(BASELINE),-baseline $(BASELINE)) -o $(BENCH_OUT) bench_out.txt
-	@rm -f bench_out.txt
+	$(GO) test -bench '$(BENCH)' -benchmem -count $(BENCH_COUNT) -run '^$$' .

@@ -18,7 +18,6 @@ import (
 	"cadinterop/internal/experiments"
 	"cadinterop/internal/fault"
 	"cadinterop/internal/floorplan"
-	"cadinterop/internal/geom"
 	"cadinterop/internal/hdl"
 	"cadinterop/internal/memo"
 	"cadinterop/internal/migrate"
@@ -515,8 +514,8 @@ func BenchmarkObsOverhead(b *testing.B) {
 // three design sizes (10³–10⁵ nets) through the one reader's two entry
 // points: "buffered" is ReadBytes over the in-memory file, "streaming" is
 // ReadStream over a bytes.Reader. The sub-benchmark names predate the
-// single reader and are kept so recorded baselines (BENCH_PR6.json,
-// BENCH_PR7.json) stay comparable.
+// single reader and are kept so runs at earlier revisions stay
+// comparable.
 func BenchmarkExchangeScale(b *testing.B) {
 	for _, n := range []int{1_000, 10_000, 100_000} {
 		var buf bytes.Buffer
@@ -551,8 +550,8 @@ func BenchmarkExchangeScale(b *testing.B) {
 }
 
 // BenchmarkRouteScale measures the router per net at three design sizes.
-// The sub-benchmarks keep their "/serial" suffix so recorded baselines
-// (BENCH_PR6.json, BENCH_PR7.json) stay comparable.
+// The sub-benchmarks keep their "/serial" suffix so runs at earlier
+// revisions stay comparable.
 func BenchmarkRouteScale(b *testing.B) {
 	for _, cells := range []int{48, 96, 192} {
 		d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
@@ -604,66 +603,6 @@ func BenchmarkWorkgenCorpus(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				workgen.CombModules("m", 64, opt, v.opt)
 			}
-		})
-	}
-}
-
-// BenchmarkRouteIncremental measures incremental rip-up/reroute against
-// the full router on the sparse pair-grid workload where the locality it
-// exploits actually exists: a one-instance nudge dirties one pair's nets
-// while every other net's search footprint stays untouched. ns/net is
-// normalized over the design total (not the rerouted subset) so the two
-// modes are directly comparable; reroute-frac reports how small the
-// ripped-up subset actually was. Byte-identity of the incremental result
-// is the E17 experiment's job — here it is only asserted not to fall
-// back to a full reroute, which would make the comparison vacuous.
-func BenchmarkRouteIncremental(b *testing.B) {
-	for _, k := range []int{4, 6} {
-		d, err := workgen.SparsePairs(k)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts := route.Options{Pitch: 10}
-		prev, err := route.Route(d, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		inst := fmt.Sprintf("p%02db", (k*k)/2)
-		old, err := d.InstanceRect(inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pl := d.Placements[inst]
-		pl.Pos = pl.Pos.Add(geom.Pt(20, 0))
-		d.Placements[inst] = pl
-		nu, err := d.InstanceRect(inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dirty := old.Union(nu)
-		total := 3 * k * k
-		b.Run(fmt.Sprintf("k=%d/full", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := route.Route(d, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/net")
-		})
-		b.Run(fmt.Sprintf("k=%d/incremental", k), func(b *testing.B) {
-			rerouted := 0
-			for i := 0; i < b.N; i++ {
-				res, err := route.RouteIncremental(prev, d, dirty, opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.IncrementalFallback != "" {
-					b.Fatalf("fell back to full reroute: %s", res.IncrementalFallback)
-				}
-				rerouted = len(res.ReroutedNets)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(total), "ns/net")
-			b.ReportMetric(float64(rerouted)/float64(total), "reroute-frac")
 		})
 	}
 }

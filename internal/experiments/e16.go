@@ -19,7 +19,7 @@ import (
 // materialized file is cheap enough to hold. Every number is a count,
 // size or ratio — no timing — so the report is byte-identical at any
 // worker count; ns/net lives in the benchmark suite
-// (BenchmarkExchangeScale) and BENCH_PR6.json.
+// (BenchmarkExchangeScale).
 func E16Scale() (*Report, error) {
 	r := &Report{ID: "E16", Title: "scale: streaming interchange window (seed 16)"}
 

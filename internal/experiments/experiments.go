@@ -644,7 +644,7 @@ func registry() []entry {
 		{"E14", "interchange corruption robustness", func(o []par.Option) (*Report, error) { return E14CorruptionRobustness() }},
 		{"E15", "observability accounting", func(o []par.Option) (*Report, error) { return E15Observability(6) }},
 		{"E16", "scale: streaming interchange window", func(o []par.Option) (*Report, error) { return E16Scale() }},
-		{"E17", "memoization + incremental reroute", func(o []par.Option) (*Report, error) { return E17Memoization() }},
+		{"E17", "memoization", func(o []par.Option) (*Report, error) { return E17Memoization() }},
 		{"E18", "crash-exact journal resume", func(o []par.Option) (*Report, error) { return E18CrashResume() }},
 		{"E19", "automated interoperability discovery", func(o []par.Option) (*Report, error) { return E19Discovery(4, o...) }},
 	}

@@ -12,27 +12,26 @@ import (
 )
 
 // TestBFSAllocs: steady-state bfs must allocate only the returned path —
-// all visited/cost/frontier state comes from the grid's scratch pool. The
-// pre-interning implementation allocated hundreds of map entries per
-// search; the bound here is deliberately tight so a scratch-pool
-// regression fails loudly. A small slack above the single path allocation
-// absorbs a GC emptying the sync.Pool mid-measurement.
+// all visited/cost/frontier state comes from the route's search scratch.
+// The pre-interning implementation allocated hundreds of map entries per
+// search; the bound here is exact so a scratch regression fails loudly.
 func TestBFSAllocs(t *testing.T) {
 	g := NewGrid(geom.R(0, 0, 400, 400), 10)
+	sc := newSearchScratch(2*g.W*g.H, nil)
 	sig := g.tab.intern("n")
 	claim(g, sig, node{0, 5, 5}, Rule{WidthTracks: 1})
 	rule := Rule{WidthTracks: 1, SpacingTracks: 1}
 	from := node{0, 35, 35}
-	if _, _, err := bfs(g, sig, from, rule); err != nil { // warm the pool
+	if _, err := bfs(g, sc, sig, from, rule); err != nil { // grow the frontier buckets
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
-		if _, _, err := bfs(g, sig, from, rule); err != nil {
+		if _, err := bfs(g, sc, sig, from, rule); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if avg > 3 {
-		t.Errorf("bfs allocates %.1f objects per search, want <= 3 (path only)", avg)
+	if avg > 1 {
+		t.Errorf("bfs allocates %.1f objects per search, want <= 1 (path only)", avg)
 	}
 }
 
@@ -61,26 +60,5 @@ func TestInternGrowAllocs(t *testing.T) {
 	// ~4.5/name means growth reallocation crept back in.
 	if perName := (avg - 8) / nets; perName > 4.5 {
 		t.Errorf("grown intern table allocates %.2f objects per name (%.0f total), want <= 4.5", perName, avg)
-	}
-}
-
-// TestSpecViewAllocs: leasing, using and returning a recording view must
-// not allocate once the pool is warm — overlays and read footprints are
-// epoch-reset, not rebuilt.
-func TestSpecViewAllocs(t *testing.T) {
-	g := NewGrid(geom.R(0, 0, 400, 400), 10)
-	sig := g.tab.intern("n")
-	v0 := newSpecView(g) // warm the pool
-	g.putView(v0)
-	avg := testing.AllocsPerRun(100, func() {
-		v := newSpecView(g)
-		v.set(0, 3, 3, sig)
-		if v.owner(0, 3, 3) != sig || v.owner(1, 7, 7) != cellEmpty {
-			t.Fatal("spec view misbehaved")
-		}
-		g.putView(v)
-	})
-	if avg > 1 {
-		t.Errorf("spec view lease/use/return allocates %.1f objects, want ~0", avg)
 	}
 }

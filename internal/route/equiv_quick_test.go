@@ -35,11 +35,12 @@ func view(res *Result, rules map[string]Rule) routedView {
 
 // TestQuickRouterEquivalence: property test that the interned-ID router is
 // byte-identical to the retained string-reference implementation
-// (refroute_test.go) on random workgen designs — segments, wirelength,
-// vias, failures, shield length, the full DRC audit, and every decoded
-// grid cell.
+// (refroute_test.go) on random workgen designs, with and without the
+// congestion-aware cost (Options.PlainBFS) — segments, wirelength, vias,
+// failures, shield length, the full DRC audit, and every decoded grid
+// cell.
 func TestQuickRouterEquivalence(t *testing.T) {
-	prop := func(seed uint16, cells, crit, kos uint8) bool {
+	prop := func(seed uint16, cells, crit, kos uint8, plain bool) bool {
 		c := workgen.PhysOptions{
 			Cells:        8 + int(cells)%25,
 			Seed:         int64(seed),
@@ -65,7 +66,7 @@ func TestQuickRouterEquivalence(t *testing.T) {
 		for _, k := range fp.Keepouts {
 			kosR = append(kosR, k.Rect)
 		}
-		opts := Options{Pitch: 5, Rules: rules, Keepouts: kosR}
+		opts := Options{Pitch: 5, Rules: rules, Keepouts: kosR, PlainBFS: plain}
 		ref, err := refRoute(d, opts)
 		if err != nil {
 			t.Fatalf("refRoute %+v: %v", c, err)
@@ -84,22 +85,22 @@ func TestQuickRouterEquivalence(t *testing.T) {
 			t.Fatalf("Route %+v: %v", c, err)
 		}
 		if gv := view(got, rules); !reflect.DeepEqual(gv, want) {
-			t.Logf("case %+v diverges from string reference:\nref: %+v\ngot: %+v", c, want, gv)
+			t.Logf("case %+v plain=%v diverges from string reference:\nref: %+v\ngot: %+v", c, plain, want, gv)
 			return false
 		}
 		// Every decoded cell of the interned grid must match the string
 		// grid exactly — markers, sentinels and all.
 		g, rg := got.grid, ref.grid
 		if g.W != rg.W || g.H != rg.H {
-			t.Logf("case %+v: grid size %dx%d vs ref %dx%d", c, g.W, g.H, rg.W, rg.H)
+			t.Logf("case %+v plain=%v: grid size %dx%d vs ref %dx%d", c, plain, g.W, g.H, rg.W, rg.H)
 			return false
 		}
 		for l := 0; l < 2; l++ {
 			for y := 0; y < g.H; y++ {
 				for x := 0; x < g.W; x++ {
 					if g.Owner(l, x, y) != rg.owner(l, x, y) {
-						t.Logf("case %+v: cell (%d,%d,%d) = %q, ref %q",
-							c, l, x, y, g.Owner(l, x, y), rg.owner(l, x, y))
+						t.Logf("case %+v plain=%v: cell (%d,%d,%d) = %q, ref %q",
+							c, plain, l, x, y, g.Owner(l, x, y), rg.owner(l, x, y))
 						return false
 					}
 				}

@@ -103,17 +103,6 @@ func (t *internTable) grow(n int) {
 	}
 }
 
-// clone returns an independent copy with identical name→ID assignments —
-// RouteIncremental's rebuilt grid must decode inherited cell IDs exactly
-// as the previous grid did.
-func (t *internTable) clone() *internTable {
-	ids := make(map[string]int32, len(t.ids))
-	for k, v := range t.ids {
-		ids[k] = v
-	}
-	return &internTable{ids: ids, strs: append([][4]string(nil), t.strs...)}
-}
-
 // lookup returns the signal ID for a name already in the table.
 func (t *internTable) lookup(name string) (int32, bool) {
 	i, ok := t.ids[name]

@@ -71,32 +71,7 @@ type Result struct {
 	Failed      []string
 	FailReasons []string
 	ShieldLen   int
-	// ReroutedNets lists, in canonical order, the nets RouteIncremental
-	// actually ripped up and rerouted; nil for a full Route. Observability
-	// only: excluded from the byte-identity bar.
-	ReroutedNets []string
-	// IncrementalFallback names the soundness condition that forced
-	// RouteIncremental down the full-Route path ("" = the incremental path
-	// ran). Observability only.
-	IncrementalFallback string
-	grid                *Grid
-	rules               map[string]Rule
-	// Replay metadata for RouteIncremental: the inputs this result was
-	// produced from (pins per net, canonical order, die/pitch/options
-	// fingerprint) and per-net accounting (search probe box, vias, shield
-	// length) so surviving nets' totals can be reassembled without
-	// re-searching. pass0 records that the result came from the first
-	// routing pass in canonical order — a clean rip-up attempt uses a
-	// rotated order, which the incremental replay cannot reproduce.
-	pins      map[string][]geom.Point
-	order     []string
-	probe     map[string]geom.Rect
-	netVias   map[string]int
-	netShield map[string]int
-	die       geom.Rect
-	pitch     int
-	fp        string
-	pass0     bool
+	grid        *Grid
 }
 
 // Grid is the routing fabric occupancy: per layer, per cell, an interned
@@ -113,20 +88,6 @@ type Grid struct {
 	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
-	// Pools of search scratch and recording views sized for this grid;
-	// steady-state routing leases and returns the same buffers instead of
-	// allocating per net (DESIGN.md §5c). Held by pointer so the
-	// incremental replay's same-sized clone can share its source grid's
-	// warm pool instead of re-allocating O(grid) scratch for a handful of
-	// dirty nets.
-	pools *gridPools
-	// Pre-resolved search counter (nil when Options.Metrics is unset).
-	mSearches *obs.Counter
-}
-
-// observe resolves the grid's search counter from reg (nil = disabled).
-func (g *Grid) observe(reg *obs.Registry) {
-	g.mSearches = reg.Counter("route.bfs.searches")
 }
 
 // Pin flags, one byte per cell of Grid.pin.
@@ -142,8 +103,7 @@ const (
 func NewGrid(die geom.Rect, pitch int) *Grid {
 	w := die.Dx()/pitch + 1
 	h := die.Dy()/pitch + 1
-	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]uint8, w*h),
-		pools: &gridPools{}}
+	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]uint8, w*h)}
 	for l := 0; l < 2; l++ {
 		g.own[l] = make([]int32, w*h)
 	}
@@ -203,74 +163,27 @@ func (g *Grid) set(layer, x, y int, id int32) {
 	g.own[layer][y*g.W+x] = id
 }
 
-func (g *Grid) size() (int, int) { return g.W, g.H }
-func (g *Grid) plain() bool      { return g.plainBFS }
-func (g *Grid) base() *Grid      { return g }
-
-// fabric is the grid surface the search phase runs against: the live Grid
-// during routing and commits, or a specView during the incremental replay.
-// All cell traffic is interned IDs; strings exist only at the package
-// boundary.
-type fabric interface {
-	owner(layer, x, y int) int32
-	set(layer, x, y int, id int32)
-	isPin(x, y int) bool
-	size() (w, h int)
-	plain() bool
-	base() *Grid
-}
-
 // Route connects every multi-pin net of the design's top cell.
 func Route(d *phys.Design, opts Options) (*Result, error) {
 	if opts.Pitch <= 0 {
 		opts.Pitch = 10
 	}
-	g := NewGrid(d.Die, opts.Pitch)
-	g.plainBFS = opts.PlainBFS
-	g.observe(opts.Metrics)
-	// Block keepouts on both layers.
-	for _, ko := range opts.Keepouts {
-		x0 := (ko.Min.X - d.Die.Min.X) / opts.Pitch
-		y0 := (ko.Min.Y - d.Die.Min.Y) / opts.Pitch
-		// The max edge is exclusive: a cell starting exactly at Max lies
-		// outside the keepout.
-		x1 := gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch)
-		y1 := gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch)
-		for x := x0; x <= x1; x++ {
-			for y := y0; y <= y1; y++ {
-				g.set(0, x, y, cellBlocked)
-				g.set(1, x, y, cellBlocked)
-			}
-		}
-	}
-
-	res := &Result{
-		Segments: make(map[string][]Segment),
-		grid:     g,
-		rules:    opts.Rules,
-	}
-
+	// Resolved before anything can fail, so a registry sees the counter
+	// even for a design Route rejects.
+	searches := opts.Metrics.Counter("route.bfs.searches")
 	netPins, err := gatherNetPins(d, opts)
 	if err != nil {
 		return nil, err
 	}
-
-	// Pre-reserve every pin cell on both layers so no net can route
-	// through another net's landing pad. Reserved cells carry a pending
-	// marker ("?net"): foreign nets treat them as obstacles, the owning
-	// net may claim them, and they do not count as connected yet. The
-	// intern table is grown to final size first so the hot path never
-	// rehashes or reallocates it (allocs_test.go locks this in).
-	g.tab.grow(len(netPins))
-	reservePins(g, netPins)
-
 	nets := orderNets(netPins, opts)
 
-	routeAll(g, res, nets, netPins, opts)
+	g := freshGrid(d, opts, netPins)
+	// One scratch serves every search of every pass: rip-up grids have the
+	// same size, and searches run one at a time.
+	sc := newSearchScratch(2*g.W*g.H, searches)
+	res := &Result{Segments: make(map[string][]Segment), grid: g}
+	routeAll(g, sc, res, nets, netPins, opts)
 	if len(res.Failed) == 0 {
-		// pass0: this result came from the first pass in canonical order,
-		// so RouteIncremental can replay it net-by-net.
-		stampReplayMeta(res, d, opts, netPins, nets, true)
 		recordRouteMetrics(opts.Metrics, res, len(nets), 0)
 		return res, nil
 	}
@@ -289,15 +202,13 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 			// packings once the failed set stabilizes.
 			order = rotateTail(order, len(best.Failed), pass)
 		}
-		attempt := &Result{Segments: make(map[string][]Segment), rules: opts.Rules}
 		g2 := freshGrid(d, opts, netPins)
-		attempt.grid = g2
-		routeAll(g2, attempt, order, netPins, opts)
+		attempt := &Result{Segments: make(map[string][]Segment), grid: g2}
+		routeAll(g2, sc, attempt, order, netPins, opts)
 		if len(attempt.Failed) < len(best.Failed) {
 			best = attempt
 		}
 	}
-	stampReplayMeta(best, d, opts, netPins, nets, false)
 	recordRouteMetrics(opts.Metrics, best, len(nets), passes)
 	return best, nil
 }
@@ -361,18 +272,6 @@ func orderNets(netPins map[string][]geom.Point, opts Options) []string {
 	return nets
 }
 
-// stampReplayMeta records the inputs a result was routed from so
-// RouteIncremental can later rip up just a dirty subset (see Result's
-// unexported fields).
-func stampReplayMeta(res *Result, d *phys.Design, opts Options, netPins map[string][]geom.Point, order []string, pass0 bool) {
-	res.pins = netPins
-	res.order = order
-	res.die = d.Die
-	res.pitch = opts.Pitch
-	res.fp = opts.Fingerprint()
-	res.pass0 = pass0
-}
-
 // recordRouteMetrics lands the routing outcome in the registry (no-op on
 // nil): totals are per-Route sums, so repeated calls accumulate across a
 // whole flow or experiment.
@@ -429,52 +328,13 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes every net in order on the live grid, booking failures.
-func routeAll(g *Grid, res *Result, order []string, netPins map[string][]geom.Point, opts Options) {
+// routeAll routes every net in order on the grid, booking failures.
+func routeAll(g *Grid, sc *searchScratch, res *Result, order []string, netPins map[string][]geom.Point, opts Options) {
 	for _, net := range order {
-		if err := routeNet(g, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
+		if err := routeNet(g, sc, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
 			res.Failed = append(res.Failed, net)
 			res.FailReasons = append(res.FailReasons, err.Error())
 		}
-	}
-}
-
-// pinBBox is the bounding box of a net's pins in grid coordinates.
-func pinBBox(pins []geom.Point) geom.Rect {
-	r := geom.Rect{Min: pins[0], Max: pins[0]}
-	for _, p := range pins[1:] {
-		if p.X < r.Min.X {
-			r.Min.X = p.X
-		}
-		if p.Y < r.Min.Y {
-			r.Min.Y = p.Y
-		}
-		if p.X > r.Max.X {
-			r.Max.X = p.X
-		}
-		if p.Y > r.Max.Y {
-			r.Max.Y = p.Y
-		}
-	}
-	return r
-}
-
-// commitPaths replays a successful search made on a view onto the live
-// grid: its claims land on real fabric, then shields and clearance halos
-// grow exactly as routeNet would have grown them at this point in the
-// order.
-func commitPaths(g *Grid, res *Result, net string, sig int32, pins []geom.Point, paths [][]node, probe geom.Rect, rule Rule) {
-	claim(g, sig, node{0, pins[0].X, pins[0].Y}, Rule{WidthTracks: 1})
-	for _, path := range paths {
-		claimPath(g, sig, path, rule)
-	}
-	res.setProbe(net, probe)
-	recordPaths(res, net, paths)
-	if rule.Shield {
-		res.addShieldLen(net, addShields(g, sig))
-	}
-	if rule.SpacingTracks > 0 {
-		addHalo(g, sig, rule.SpacingTracks)
 	}
 }
 
@@ -499,14 +359,16 @@ func promoteFailed(order, failed []string) []string {
 	return out
 }
 
-// freshGrid rebuilds the fabric with keepouts and pin reservations.
+// freshGrid builds the fabric with keepouts blocked on both layers and
+// every pin reserved. opts.Pitch must already be normalized.
 func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *Grid {
 	g := NewGrid(d.Die, opts.Pitch)
 	g.plainBFS = opts.PlainBFS
-	g.observe(opts.Metrics)
 	for _, ko := range opts.Keepouts {
 		x0 := (ko.Min.X - d.Die.Min.X) / opts.Pitch
 		y0 := (ko.Min.Y - d.Die.Min.Y) / opts.Pitch
+		// The max edge is exclusive: a cell starting exactly at Max lies
+		// outside the keepout.
 		x1 := gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch)
 		y1 := gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch)
 		for x := x0; x <= x1; x++ {
@@ -516,6 +378,12 @@ func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *G
 			}
 		}
 	}
+	// Pre-reserve every pin cell so no net can route through another
+	// net's landing pad. Reserved cells carry a pending marker ("?net"):
+	// foreign nets treat them as obstacles, the owning net may claim them,
+	// and they do not count as connected yet. The intern table is grown to
+	// final size first so the hot path never rehashes or reallocates it
+	// (allocs_test.go locks this in).
 	g.tab.grow(len(netPins))
 	reservePins(g, netPins)
 	return g
@@ -533,11 +401,10 @@ type node struct {
 	l, x, y int
 }
 
-// routeNet maze-routes one net on the live grid, connecting pins one at a
-// time to the grown net region.
-func routeNet(g *Grid, res *Result, net string, sig int32, pins []geom.Point, rule Rule) error {
-	paths, probe, err := netPaths(g, sig, pins, rule)
-	res.setProbe(net, probe)
+// routeNet maze-routes one net on the grid, connecting pins one at a time
+// to the grown net region.
+func routeNet(g *Grid, sc *searchScratch, res *Result, net string, sig int32, pins []geom.Point, rule Rule) error {
+	paths, err := netPaths(g, sc, sig, pins, rule)
 	// Partial progress stays claimed and booked even when a later pin
 	// fails — the rip-up pass rebuilds the fabric from scratch anyway.
 	recordPaths(res, net, paths)
@@ -545,7 +412,7 @@ func routeNet(g *Grid, res *Result, net string, sig int32, pins []geom.Point, ru
 		return err
 	}
 	if rule.Shield {
-		res.addShieldLen(net, addShields(g, sig))
+		res.ShieldLen += addShields(g, sig)
 	}
 	if rule.SpacingTracks > 0 {
 		// Spacing is symmetric: reserve a clearance halo so nets routed
@@ -555,70 +422,41 @@ func routeNet(g *Grid, res *Result, net string, sig int32, pins []geom.Point, ru
 	return nil
 }
 
-// setProbe records the bounding box of fabric a net's searches examined
-// (replay metadata for RouteIncremental; maps are lazy so hand-built
-// Results in tests keep working). Repeated calls union.
-func (res *Result) setProbe(net string, probe geom.Rect) {
-	if res.probe == nil {
-		res.probe = make(map[string]geom.Rect)
-	}
-	if prev, ok := res.probe[net]; ok {
-		probe = prev.Union(probe)
-	}
-	res.probe[net] = probe
-}
-
-// addShieldLen books shield wirelength both in the total and per net.
-func (res *Result) addShieldLen(net string, added int) {
-	res.ShieldLen += added
-	if added == 0 {
-		return
-	}
-	if res.netShield == nil {
-		res.netShield = make(map[string]int)
-	}
-	res.netShield[net] += added
-}
-
 // netPaths is the search phase of one net: seed the first pin, then maze-
-// route every remaining pin to the grown region, claiming cells on f as it
+// route every remaining pin to the grown region, claiming cells on g as it
 // goes. Paths found before an error are returned with it, so partial
-// progress can be replayed exactly. The second return is the net's probe
-// box: the union of the fabric regions its searches examined (see bfs),
-// seeded with the pin bounding box.
-func netPaths(f fabric, sig int32, pins []geom.Point, rule Rule) ([][]node, geom.Rect, error) {
+// progress is booked like a success.
+func netPaths(g *Grid, sc *searchScratch, sig int32, pins []geom.Point, rule Rule) ([][]node, error) {
 	// Seed: first pin on both layers. Pins claim at width 1 — the width
 	// rule governs wires; pad cells must not stomp on neighbors' halos.
 	seed := pins[0]
 	pinRule := Rule{WidthTracks: 1}
-	claim(f, sig, node{0, seed.X, seed.Y}, pinRule)
+	claim(g, sig, node{0, seed.X, seed.Y}, pinRule)
 	var paths [][]node
-	probe := pinBBox(pins)
 	for _, target := range pins[1:] {
-		if f.owner(0, target.X, target.Y) == sig {
+		if g.owner(0, target.X, target.Y) == sig {
 			continue // already on the net (shared pin cell)
 		}
-		path, box, err := bfs(f, sig, node{0, target.X, target.Y}, rule)
-		probe = probe.Union(box)
+		path, err := bfs(g, sc, sig, node{0, target.X, target.Y}, rule)
 		if err != nil {
-			return paths, probe, err
+			return paths, err
 		}
-		claimPath(f, sig, path, rule)
+		claimPath(g, sig, path, rule)
 		paths = append(paths, path)
 	}
-	return paths, probe, nil
+	return paths, nil
 }
 
 // claimPath claims a found path. The pin landing (the last node) claims at
 // width 1 like the seed did, and the success cell (path[0]) is already
 // owned by the net — re-claiming it at full width would stomp neighbors
 // the search never verified.
-func claimPath(f fabric, sig int32, path []node, rule Rule) {
+func claimPath(g *Grid, sig int32, path []node, rule Rule) {
 	for i := 1; i < len(path); i++ {
 		if i == len(path)-1 {
-			claim(f, sig, path[i], Rule{WidthTracks: 1})
+			claim(g, sig, path[i], Rule{WidthTracks: 1})
 		} else {
-			claim(f, sig, path[i], rule)
+			claim(g, sig, path[i], rule)
 		}
 	}
 }
@@ -631,10 +469,6 @@ func recordPaths(res *Result, net string, paths [][]node) {
 			p, n := path[i-1], path[i]
 			if p.l != n.l {
 				res.Vias++
-				if res.netVias == nil {
-					res.netVias = make(map[string]int)
-				}
-				res.netVias[net]++
 			} else {
 				res.Wirelength++
 				res.Segments[net] = append(res.Segments[net], Segment{
@@ -675,14 +509,14 @@ func addHalo(g *Grid, sig int32, dist int) {
 }
 
 // claim marks a cell (and its width expansion) as owned by net.
-func claim(f fabric, sig int32, n node, rule Rule) {
-	f.set(n.l, n.x, n.y, sig)
+func claim(g *Grid, sig int32, n node, rule Rule) {
+	g.set(n.l, n.x, n.y, sig)
 	// Width expansion perpendicular to the layer direction.
 	for w := 1; w < rule.WidthTracks; w++ {
 		if n.l == 0 {
-			f.set(n.l, n.x, n.y+w, sig)
+			g.set(n.l, n.x, n.y+w, sig)
 		} else {
-			f.set(n.l, n.x+w, n.y, sig)
+			g.set(n.l, n.x+w, n.y, sig)
 		}
 	}
 }
@@ -690,8 +524,7 @@ func claim(f fabric, sig int32, n node, rule Rule) {
 // usable reports whether the net may occupy cell n under its rule: the
 // cell (and width expansion) must be free or already the net's own, and
 // the spacing clearance must hold against foreign nets.
-func usable(f fabric, sig int32, n node, rule Rule) bool {
-	w, h := f.size()
+func usable(g *Grid, sig int32, n node, rule Rule) bool {
 	for i := 0; i < rule.WidthTracks; i++ {
 		c := n
 		if n.l == 0 {
@@ -699,16 +532,16 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 		} else {
 			c.x += i
 		}
-		if c.x < 0 || c.y < 0 || c.x >= w || c.y >= h {
+		if c.x < 0 || c.y < 0 || c.x >= g.W || c.y >= g.H {
 			return false
 		}
-		if o := f.owner(c.l, c.x, c.y); o != cellEmpty && !ownCell(o, sig) {
+		if o := g.owner(c.l, c.x, c.y); o != cellEmpty && !ownCell(o, sig) {
 			return false
 		}
 		// Spacing: foreign occupants within the clearance window fail.
 		// Pin landing pads are exempt — spacing rules govern parallel
 		// wires, not fixed pin geometry.
-		if f.isPin(c.x, c.y) {
+		if g.isPin(c.x, c.y) {
 			continue
 		}
 		for s := 1; s <= rule.SpacingTracks; s++ {
@@ -719,12 +552,12 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 				} else {
 					c2.x += d
 				}
-				if f.isPin(c2.x, c2.y) {
+				if g.isPin(c2.x, c2.y) {
 					continue
 				}
 				// Spacing measures to real foreign wires; shields, halos
 				// and blockages are not aggressors.
-				if spacingAggressor(f.owner(c2.l, c2.x, c2.y), sig) {
+				if spacingAggressor(g.owner(c2.l, c2.x, c2.y), sig) {
 					return false
 				}
 			}
@@ -737,37 +570,26 @@ func usable(f fabric, sig int32, n node, rule Rule) bool {
 // owned by net. The cost function is congestion-aware: vias cost extra and
 // cells adjacent to pin landing pads are discouraged, so wires prefer open
 // fabric and leave pin escapes for the nets that need them. All visited/
-// cost/frontier state lives in pooled scratch (scratch.go); the only
-// allocation per call is the returned path, which the caller retains.
-//
-// The second return is the probe box: the bounding box of every cell the
-// search examined, valid on success and failure alike. The search reads
-// fabric only at examined cells plus their width/spacing/near-pin windows,
-// so anything outside this box expanded by that rule margin cannot have
-// influenced the outcome. RouteIncremental uses the box to decide which
-// surviving nets a dirty region could re-decide; a cost-radius bound would
-// be hopelessly loose here because via and pin-adjacency penalties inflate
-// cost far beyond geometric distance.
-func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
-	probe := geom.Rect{Min: geom.Pt(from.x, from.y), Max: geom.Pt(from.x, from.y)}
+// cost/frontier state lives in sc, the route's one search scratch
+// (scratch.go); the only allocation per call is the returned path, which
+// the caller retains.
+func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, error) {
 	// The pin landing needs only its own cell (width rules govern wires).
-	if !usable(f, sig, from, Rule{WidthTracks: 1}) {
-		return nil, probe, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, f.base().tab.decode(sig))
+	if !usable(g, sig, from, Rule{WidthTracks: 1}) {
+		return nil, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.decode(sig))
 	}
+	sc.searches.Inc()
 	viaCost, pinAdjCost := 3, 4
-	if f.plain() {
+	if g.plainBFS {
 		viaCost, pinAdjCost = 1, 0
 	}
 	// Without a width or spacing window, usable only re-reads the cell the
 	// owner test below has just accepted, so it is called only when the
 	// rule needs one.
 	window := rule.WidthTracks > 1 || rule.SpacingTracks > 0
-	g := f.base()
 	pins := g.pin
-	w, h := f.size()
-	lsize := w * h
-	sc := g.getScratch()
-	defer g.putScratch(sc)
+	w := g.W
+	lsize := w * g.H
 	sc.reset()
 	start := int32(from.l*lsize + from.y*w + from.x)
 	sc.setDist(start, 0, -1)
@@ -785,7 +607,7 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 				continue // stale entry
 			}
 			cur := node{int(ci) / lsize, int(ci) % w, (int(ci) % lsize) / w}
-			if f.owner(cur.l, cur.x, cur.y) == sig {
+			if g.owner(cur.l, cur.x, cur.y) == sig {
 				// Reconstruct target-to-net order: count first, then fill,
 				// so the path is a single right-sized allocation.
 				steps := 1
@@ -802,26 +624,14 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 					}
 					i = p
 				}
-				return path, probe, nil
+				return path, nil
 			}
 			for t := 0; t < 3; t++ {
 				nb := neighbor(cur, t)
-				// Every examined neighbor is a fabric read — grow the probe
-				// box before any rejection (vias share x,y, so the box is 2D).
-				if nb.x < probe.Min.X {
-					probe.Min.X = nb.x
-				} else if nb.x > probe.Max.X {
-					probe.Max.X = nb.x
-				}
-				if nb.y < probe.Min.Y {
-					probe.Min.Y = nb.y
-				} else if nb.y > probe.Max.Y {
-					probe.Max.Y = nb.y
-				}
-				owner := f.owner(nb.l, nb.x, nb.y)
+				owner := g.owner(nb.l, nb.x, nb.y)
 				// An accepted owner means nb is inside the die: every
 				// out-of-bounds cell reads as blocked.
-				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && (!window || usable(f, sig, nb, rule))) {
+				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && (!window || usable(g, sig, nb, rule))) {
 					continue
 				}
 				step := 1
@@ -844,7 +654,7 @@ func bfs(f fabric, sig int32, from node, rule Rule) ([]node, geom.Rect, error) {
 			}
 		}
 	}
-	return nil, probe, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
+	return nil, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
 }
 
 // neighbor yields legal move t (0,1 = along the layer's direction, 2 =

@@ -243,8 +243,8 @@ func TestGridBounds(t *testing.T) {
 // TestPinAdjacencyAtBorders: the pin-adjacency flag reservePins stores
 // per cell must agree with the reference router's five-probe refNearPin
 // on every cell, for pins on each corner, on each edge and outside the
-// die — on a fresh grid and on the grid replayIncremental clones. The
-// random designs of the equivalence suites rarely put pins on the border.
+// die. The random designs of the equivalence suite rarely put pins on the
+// border.
 func TestPinAdjacencyAtBorders(t *testing.T) {
 	die := geom.R(0, 0, 100, 60) // 11×7 cells at pitch 10
 	opts := Options{Pitch: 10}
@@ -276,39 +276,27 @@ func TestPinAdjacencyAtBorders(t *testing.T) {
 			"b": {geom.Pt(0, 2), geom.Pt(-1, 2)},
 		}},
 	}
-	// The clone's source grid reserves different, interior pins: none of
-	// its flags may survive into the clone.
-	stale := map[string][]geom.Point{"z": {geom.Pt(4, 3), geom.Pt(6, 3), geom.Pt(5, 5)}}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			ref := refFreshGrid(d, opts, c.pins)
-			check := func(kind string, g *Grid) {
-				t.Helper()
-				if g.W != w || g.H != h {
-					t.Fatalf("%s grid is %d×%d, want %d×%d", kind, g.W, g.H, w, h)
-				}
-				for y := -1; y <= h; y++ {
-					for x := -1; x <= w; x++ {
-						if got, want := g.isPin(x, y), ref.isPin(x, y); got != want {
-							t.Errorf("%s grid: isPin(%d,%d) = %v, want %v", kind, x, y, got, want)
-						}
-						if x < 0 || y < 0 || x >= w || y >= h {
-							continue
-						}
-						got := g.pin[y*w+x]&pinNear != 0
-						if want := refNearPin(ref, node{0, x, y}); got != want {
-							t.Errorf("%s grid: near-pin flag at (%d,%d) = %v, want %v", kind, x, y, got, want)
-						}
+			g := freshGrid(d, opts, c.pins)
+			if g.W != w || g.H != h {
+				t.Fatalf("grid is %d×%d, want %d×%d", g.W, g.H, w, h)
+			}
+			for y := -1; y <= h; y++ {
+				for x := -1; x <= w; x++ {
+					if got, want := g.isPin(x, y), ref.isPin(x, y); got != want {
+						t.Errorf("isPin(%d,%d) = %v, want %v", x, y, got, want)
+					}
+					if x < 0 || y < 0 || x >= w || y >= h {
+						continue
+					}
+					got := g.pin[y*w+x]&pinNear != 0
+					if want := refNearPin(ref, node{0, x, y}); got != want {
+						t.Errorf("near-pin flag at (%d,%d) = %v, want %v", x, y, got, want)
 					}
 				}
 			}
-			check("fresh", freshGrid(d, opts, c.pins))
-			prev := &Result{grid: freshGrid(d, opts, stale)}
-			res, escalate, fallback := replayIncremental(prev, map[string]bool{}, nil, c.pins, map[string]int{}, opts)
-			if res == nil || len(escalate) > 0 || fallback != "" {
-				t.Fatalf("replayIncremental: escalate %v, fallback %q", escalate, fallback)
-			}
-			check("replay clone", res.grid)
 		})
 	}
 }

@@ -487,6 +487,11 @@ func Flow(ctx context.Context, w io.Writer, req FlowRequest, withObs bool) (*obs
 			return nil, err
 		}
 	}
+	// Checked after the journal opens: a resumed run's block count comes
+	// from the journal header, not from the caller.
+	if req.Blocks < 0 {
+		return nil, fmt.Errorf("blocks must not be negative, got %d", req.Blocks)
+	}
 	blockNames := make([]string, req.Blocks)
 	for i := range blockNames {
 		blockNames[i] = fmt.Sprintf("blk%02d", i)

@@ -352,6 +352,29 @@ func TestBadMethodAndBadJSON(t *testing.T) {
 	}
 }
 
+// TestFlowNegativeBlocks: a negative block count is a request error, not
+// a handler panic. A panicking handler skipped finishReq after the
+// request was counted, so the counters and the request log disagreed.
+func TestFlowNegativeBlocks(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	status, resp, raw := postJSON(t, ts.URL+"/v1/flow", `{"blocks":-3}`)
+	if status != http.StatusOK || resp.Exit != 1 || !strings.Contains(resp.Error, "blocks must not be negative") {
+		t.Fatalf("status %d, body %s", status, raw)
+	}
+	reg := s.Metrics()
+	if req, served := reg.Counter("serve.requests").Value(), reg.Counter("serve.served").Value(); req != served {
+		t.Errorf("serve.requests %d != serve.served %d", req, served)
+	}
+	r, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	if log, _ := io.ReadAll(r.Body); string(log) != "1 flow 200\n" {
+		t.Errorf("request log %q, want the flow entry", log)
+	}
+}
+
 func TestDebugEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheMem: true})
 	if status, _, raw := postJSON(t, ts.URL+"/v1/flow", `{"blocks":2}`); status != http.StatusOK {

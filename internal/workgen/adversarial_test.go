@@ -39,22 +39,6 @@ func TestScaleExchangeDeterministicQuick(t *testing.T) {
 	}
 }
 
-func TestSparsePairsDeterministic(t *testing.T) {
-	for _, k := range []int{1, 2, 3} {
-		a, err := SparsePairs(k)
-		if err != nil {
-			t.Fatalf("SparsePairs(%d): %v", k, err)
-		}
-		b, err := SparsePairs(k)
-		if err != nil {
-			t.Fatalf("SparsePairs(%d): %v", k, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("SparsePairs(%d) differs between identical calls", k)
-		}
-	}
-}
-
 func TestSchematicMutationsDeterministicQuick(t *testing.T) {
 	prop := func(seed int64, n uint8) bool {
 		opts := SchematicOptions{Instances: 4, Pages: 2, Seed: seed}

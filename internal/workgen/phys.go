@@ -166,63 +166,3 @@ func maxInt(a, b int) int {
 	}
 	return b
 }
-
-// SparsePairs builds a deterministic k×k grid of pre-placed BUF pairs with
-// 80 routing tracks of empty fabric between pairs — the spatial-locality
-// workload where incremental reroute provably engages: a one-instance
-// nudge perturbs only its own pair's nets, far outside every other net's
-// search footprint. Each pair i wires in%02d → [a] → mid%02d → [b] →
-// out%02d, so the design has 3k² nets and 2k² instances, all placed.
-func SparsePairs(k int) (*phys.Design, error) {
-	tech := phys.Tech{
-		Name: "sparse",
-		Layers: []phys.Layer{
-			{Name: "M1", Dir: phys.Horizontal, Pitch: 10, MinWidth: 4, MinSpace: 4},
-			{Name: "M2", Dir: phys.Vertical, Pitch: 10, MinWidth: 4, MinSpace: 4},
-		},
-		SiteWidth: 10, SiteHeight: 20,
-	}
-	lib := phys.NewLibrary(tech)
-	if err := lib.AddMacro(&phys.Macro{
-		Name: "BUF", Size: geom.Pt(40, 20), Site: "core",
-		Pins: []*phys.Pin{
-			{Name: "A", Dir: netlist.Input, Shapes: []phys.Shape{{Layer: "M1", Rect: geom.R(0, 8, 4, 12)}}, Access: phys.AccessWest},
-			{Name: "Y", Dir: netlist.Output, Shapes: []phys.Shape{{Layer: "M1", Rect: geom.R(36, 8, 40, 12)}}, Access: phys.AccessEast},
-		},
-	}); err != nil {
-		return nil, err
-	}
-	nl := netlist.New()
-	buf, err := nl.AddCell("BUF")
-	if err != nil {
-		return nil, err
-	}
-	buf.Primitive = true
-	buf.AddPort("A", netlist.Input)
-	buf.AddPort("Y", netlist.Output)
-	top, err := nl.AddCell("chip")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < k*k; i++ {
-		a, b := fmt.Sprintf("p%02da", i), fmt.Sprintf("p%02db", i)
-		top.AddInstance(a, "BUF")
-		top.AddInstance(b, "BUF")
-		top.Connect(a, "A", fmt.Sprintf("in%02d", i))
-		top.Connect(a, "Y", fmt.Sprintf("mid%02d", i))
-		top.Connect(b, "A", fmt.Sprintf("mid%02d", i))
-		top.Connect(b, "Y", fmt.Sprintf("out%02d", i))
-	}
-	nl.Top = "chip"
-	const span = 800 // DBU between pairs: 80 grid cells at pitch 10
-	d, err := phys.NewDesign("chip", geom.R(0, 0, (k+1)*span, (k+1)*span), lib, nl, "chip")
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < k*k; i++ {
-		x, y := (i%k+1)*span, (i/k+1)*span
-		d.Placements[fmt.Sprintf("p%02da", i)] = phys.Placement{Pos: geom.Pt(x, y)}
-		d.Placements[fmt.Sprintf("p%02db", i)] = phys.Placement{Pos: geom.Pt(x+60, y)}
-	}
-	return d, nil
-}
