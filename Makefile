@@ -13,10 +13,11 @@ RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/i
 
 # The go test benchmarks run by `make bench`, all in the root package: the
 # experiment sweep, the scale trajectory (interchange read, end-to-end
-# serial route) and the warm flow cache. Override BENCH / BENCH_COUNT for
-# a quicker or broader run. Performance claims are measured by the bench/
-# harness (bench/ab.sh), not here.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkFlowCacheWarm
+# serial route, schematic connectivity extraction) and the warm flow
+# cache. Override BENCH / BENCH_COUNT for a quicker or broader run.
+# Performance claims are measured by the bench/ harness (bench/ab.sh), not
+# here.
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm
 BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora

@@ -27,6 +27,7 @@ import (
 	"cadinterop/internal/phys"
 	"cadinterop/internal/place"
 	"cadinterop/internal/route"
+	"cadinterop/internal/schematic"
 	"cadinterop/internal/sim"
 	"cadinterop/internal/synth"
 	"cadinterop/internal/workflow"
@@ -546,6 +547,33 @@ func BenchmarkExchangeScale(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/net")
 			})
 		}
+	}
+}
+
+// BenchmarkSchematicExtract measures connectivity extraction, which every
+// migration runs twice to verify itself. One page of 50, 200 and 800
+// instances shows how the cost grows with sheet density; "served" is the
+// design /v1/migrate and schemig -gen build for gen 100 (1 + gen/60
+// pages).
+func BenchmarkSchematicExtract(b *testing.B) {
+	cases := []struct {
+		name string
+		opts workgen.SchematicOptions
+	}{
+		{"page/insts=50", workgen.SchematicOptions{Instances: 50, Pages: 1, Seed: 42}},
+		{"page/insts=200", workgen.SchematicOptions{Instances: 200, Pages: 1, Seed: 42}},
+		{"page/insts=800", workgen.SchematicOptions{Instances: 800, Pages: 1, Seed: 42}},
+		{"served/gen=100", workgen.SchematicOptions{Instances: 100, Pages: 1 + 100/60, Seed: 42}},
+	}
+	for _, c := range cases {
+		d := workgen.Schematic(c.opts).Design
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := schematic.Extract(d, schematic.VL.ExtractOptions()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

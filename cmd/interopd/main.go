@@ -44,7 +44,7 @@ func main() {
 		addr     = flag.String("addr", "localhost:8347", "listen address (daemon) or target host:port (client)")
 		workers  = flag.Int("j", 0, "global worker budget: engine runs executing at once (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", -1, "admission queue bound; -1 = one waiter per worker, 0 = shed when all workers busy")
-		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none); a request's deadline_ms overrides it")
+		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none); a request's deadline_ms may shorten it but never lengthen it")
 		cacheMem = flag.Bool("cache", false, "share an in-memory memo cache across requests")
 		cacheDir = flag.String("cache-dir", "", "persist the shared memo cache under this directory (implies -cache)")
 		traces   = flag.Int("traces", 0, "recent per-request traces retained for /debug/trace (0 = 32)")

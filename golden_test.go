@@ -22,6 +22,7 @@ import (
 	"testing"
 
 	"cadinterop/internal/experiments"
+	"cadinterop/internal/memo"
 	"cadinterop/internal/par"
 	"cadinterop/internal/serve"
 )
@@ -29,10 +30,11 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current code")
 
 // goldenDir holds one file per case: experiments/<ID>.txt is what
-// cmd/experiments prints for that experiment, and
+// cmd/experiments prints for that experiment,
 // bplane/cells<N>-seed<S>-<mode>.txt is what cmd/bplane and
-// /v1/translate print for that run, followed by the returned error, if
-// any.
+// /v1/translate print for that run, and schemig/gen<N>-seed<S>.txt is
+// what `schemig -gen N -seed S -v` prints, each followed by the returned
+// error, if any.
 const goldenDir = "testdata/golden"
 
 // goldenBplaneModes are the bplane flag sets each (cells, seed) pair runs
@@ -48,7 +50,7 @@ var goldenBplaneModes = []struct {
 
 // renderGolden renders every golden case at the given worker count, keyed
 // by its file path under goldenDir.
-func renderGolden(jobs int) map[string]string {
+func renderGolden(t *testing.T, jobs int) map[string]string {
 	out := make(map[string]string)
 	// The harness degrades a failing experiment to a FAILED report in its
 	// slot, which is exactly what the CLI prints, so the error needs no
@@ -69,7 +71,34 @@ func renderGolden(jobs int) map[string]string {
 			}
 		}
 	}
+	// Each migration runs twice through one cache, so the file pins the
+	// cache's miss path (the put and its round-trip check) and its hit.
+	for _, gen := range []int{10, 60, 150} {
+		for _, seed := range []int64{1, 42} {
+			file := filepath.Join("schemig", fmt.Sprintf("gen%d-seed%d.txt", gen, seed))
+			cache := memo.New(nil)
+			miss := renderMigrate(gen, seed, cache)
+			if hit := renderMigrate(gen, seed, cache); hit != miss {
+				t.Errorf("-j %d: %s: the cache hit differs from the miss: %s", jobs, file, firstDiff(miss, hit))
+			}
+			if got := cache.Hits(); got != 1 {
+				t.Errorf("-j %d: %s: %d cache hits, want 1", jobs, file, got)
+			}
+			out[file] = miss
+		}
+	}
 	return out
+}
+
+// renderMigrate renders one `schemig -gen N -seed S -v` run: the report
+// and the migrated design on one stream, as the CLI prints them.
+func renderMigrate(gen int, seed int64, cache *memo.Cache) string {
+	var buf bytes.Buffer
+	req := serve.MigrateRequest{Gen: gen, Seed: seed, Verbose: true}
+	if err := serve.Migrate(context.Background(), &buf, &buf, req, cache); err != nil {
+		fmt.Fprintf(&buf, "error: %v\n", err)
+	}
+	return buf.String()
 }
 
 // TestGolden compares every case, at -j 1 and -j 8, against its committed
@@ -77,7 +106,7 @@ func renderGolden(jobs int) map[string]string {
 func TestGolden(t *testing.T) {
 	var got map[string]string
 	for _, jobs := range []int{1, 8} {
-		got = renderGolden(jobs)
+		got = renderGolden(t, jobs)
 		if *update && jobs == 1 {
 			writeGolden(t, got)
 		}

@@ -52,15 +52,22 @@ func encodeMigration(out *schematic.Design, rep *Report) ([]byte, bool) {
 	return buf.Bytes(), true
 }
 
-// decodeMigration inverts encodeMigration. Any mismatch — header, framing,
-// report JSON, design parse — reports !ok and the caller treats the entry
-// as a miss.
-func decodeMigration(data []byte) (*schematic.Design, *Report, bool) {
+// splitMigration cuts an encoded migration into its report JSON and its
+// cd body. json.Marshal never writes a raw newline, so the first blank
+// line after the header is the separator.
+func splitMigration(data []byte) (repJSON, body []byte, ok bool) {
 	rest, ok := bytes.CutPrefix(data, []byte(cacheHeader))
 	if !ok {
 		return nil, nil, false
 	}
-	repJSON, body, ok := bytes.Cut(rest, []byte("\n\n"))
+	return bytes.Cut(rest, []byte("\n\n"))
+}
+
+// decodeMigration inverts encodeMigration. Any mismatch — header, framing,
+// report JSON, design parse — reports !ok and the caller treats the entry
+// as a miss.
+func decodeMigration(data []byte) (*schematic.Design, *Report, bool) {
+	repJSON, body, ok := splitMigration(data)
 	if !ok {
 		return nil, nil, false
 	}
@@ -81,7 +88,9 @@ func decodeMigration(data []byte) (*schematic.Design, *Report, bool) {
 // cacheableResult reports whether a finished migration may be stored: it
 // must be clean (no verification diffs) and must survive its own
 // encode/decode round trip byte-exactly, so a warm hit reproduces the cold
-// result instead of a codec approximation of it.
+// result instead of a codec approximation of it. The body of the encoding
+// is already the migrated design's rendering, so the decoded copy's
+// rendering is compared with it.
 func cacheableResult(out *schematic.Design, rep *Report) ([]byte, bool) {
 	if len(rep.Verification) > 0 {
 		return nil, false
@@ -94,11 +103,9 @@ func cacheableResult(out *schematic.Design, rep *Report) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	var orig, rt bytes.Buffer
-	if cd.Write(&orig, out) != nil || cd.Write(&rt, dec) != nil {
-		return nil, false
-	}
-	if !bytes.Equal(orig.Bytes(), rt.Bytes()) {
+	_, body, _ := splitMigration(enc)
+	var rt bytes.Buffer
+	if cd.Write(&rt, dec) != nil || !bytes.Equal(body, rt.Bytes()) {
 		return nil, false
 	}
 	return enc, true

@@ -56,34 +56,41 @@ func canonName(name string, syn *BusSyntax, known map[string]bool) string {
 	return out
 }
 
-// pointSet is a union-find over page points.
+// pointSet is a union-find over page points. Each point gets a dense ID the
+// first time it is seen, so a visit costs one map lookup and find and
+// union walk a slice.
 type pointSet struct {
-	parent map[geom.Point]geom.Point
+	id     map[geom.Point]int32
+	parent []int32
 }
 
 func newPointSet() *pointSet {
-	return &pointSet{parent: make(map[geom.Point]geom.Point)}
+	return &pointSet{id: make(map[geom.Point]int32)}
 }
 
-func (ps *pointSet) add(p geom.Point) {
-	if _, ok := ps.parent[p]; !ok {
-		ps.parent[p] = p
+// add returns p's ID, assigning the next one if p is new.
+func (ps *pointSet) add(p geom.Point) int32 {
+	if id, ok := ps.id[p]; ok {
+		return id
 	}
+	id := int32(len(ps.parent))
+	ps.id[p] = id
+	ps.parent = append(ps.parent, id)
+	return id
 }
 
-func (ps *pointSet) find(p geom.Point) geom.Point {
-	ps.add(p)
-	root := p
+func (ps *pointSet) find(id int32) int32 {
+	root := id
 	for ps.parent[root] != root {
 		root = ps.parent[root]
 	}
-	for ps.parent[p] != root {
-		ps.parent[p], p = root, ps.parent[p]
+	for ps.parent[id] != root {
+		ps.parent[id], id = root, ps.parent[id]
 	}
 	return root
 }
 
-func (ps *pointSet) union(a, b geom.Point) {
+func (ps *pointSet) union(a, b int32) {
 	ra, rb := ps.find(a), ps.find(b)
 	if ra != rb {
 		ps.parent[ra] = rb
@@ -109,6 +116,54 @@ func onSegment(p, a, b geom.Point) bool {
 	return false
 }
 
+// segIndex buckets a page's wire segments by the line each lies on:
+// vertical segments (zero-length ones included, as in onSegment's first
+// branch) by X, horizontal ones by Y. A point can lie only on a segment of
+// its own column or row, so those two buckets hold its only candidates,
+// and onSegment still decides each. Non-Manhattan segments contain no
+// point and are not indexed.
+type segIndex struct {
+	byX, byY map[int][]seg
+}
+
+// seg is one indexed segment and the index of its wire on the page.
+type seg struct {
+	a, b geom.Point
+	wire int
+}
+
+func newSegIndex(wires []*Wire) segIndex {
+	ix := segIndex{byX: make(map[int][]seg), byY: make(map[int][]seg)}
+	for wi, w := range wires {
+		for i := 0; i+1 < len(w.Points); i++ {
+			a, b := w.Points[i], w.Points[i+1]
+			switch {
+			case a.X == b.X:
+				ix.byX[a.X] = append(ix.byX[a.X], seg{a, b, wi})
+			case a.Y == b.Y:
+				ix.byY[a.Y] = append(ix.byY[a.Y], seg{a, b, wi})
+			}
+		}
+	}
+	return ix
+}
+
+// wiresAt appends to buf the wire of every segment that contains p, once
+// per segment, and returns the extended slice.
+func (ix segIndex) wiresAt(p geom.Point, buf []int) []int {
+	for _, s := range ix.byX[p.X] {
+		if onSegment(p, s.a, s.b) {
+			buf = append(buf, s.wire)
+		}
+	}
+	for _, s := range ix.byY[p.Y] {
+		if onSegment(p, s.a, s.b) {
+			buf = append(buf, s.wire)
+		}
+	}
+	return buf
+}
+
 // pageNet is an intermediate per-page net group.
 type pageNet struct {
 	labels  []string
@@ -123,25 +178,17 @@ type pinRef struct {
 	pin  string
 }
 
-// extractPage groups a page's geometry into electrical nodes.
-func extractPage(d *Design, pg *Page) (map[geom.Point]*pageNet, error) {
-	ps := newPointSet()
-	// All points of a wire are common.
-	for _, w := range pg.Wires {
-		for i := 0; i < len(w.Points); i++ {
-			ps.add(w.Points[i])
-			if i > 0 {
-				ps.union(w.Points[i-1], w.Points[i])
-			}
-		}
-	}
+// extractPage groups a page's geometry into electrical nodes, ordered by
+// anchor.
+func extractPage(d *Design, pg *Page) ([]*pageNet, error) {
 	// Anchor points (pins, labels, connectors) join any segment they lie on,
 	// and wire endpoints joining other wires' segments make T junctions.
 	var anchors []geom.Point
 	for _, w := range pg.Wires {
 		anchors = append(anchors, w.Points...)
 	}
-	for _, in := range pg.InstanceNames() {
+	names := pg.InstanceNames()
+	for _, in := range names {
 		inst := pg.Instances[in]
 		sym, ok := d.Symbol(inst.Sym)
 		if !ok {
@@ -157,25 +204,47 @@ func extractPage(d *Design, pg *Page) (map[geom.Point]*pageNet, error) {
 	for _, c := range pg.Conns {
 		anchors = append(anchors, c.At)
 	}
-	for _, a := range anchors {
-		ps.add(a)
-		for _, w := range pg.Wires {
-			for i := 0; i+1 < len(w.Points); i++ {
-				if onSegment(a, w.Points[i], w.Points[i+1]) {
-					ps.union(a, w.Points[i])
-				}
+
+	ps := newPointSet()
+	// All points of a wire are common; the wire's first point stands for
+	// it.
+	wireID := make([]int32, len(pg.Wires))
+	for wi, w := range pg.Wires {
+		for i, p := range w.Points {
+			id := ps.add(p)
+			if i == 0 {
+				wireID[wi] = id
+			} else {
+				ps.union(wireID[wi], id)
 			}
 		}
 	}
+	ix := newSegIndex(pg.Wires)
+	var on []int
+	for _, a := range anchors {
+		id := ps.add(a)
+		on = ix.wiresAt(a, on[:0])
+		for _, wi := range on {
+			ps.union(id, wireID[wi])
+		}
+	}
 
-	groups := make(map[geom.Point]*pageNet)
-	get := func(p geom.Point) *pageNet {
-		root := ps.find(p)
-		g, ok := groups[root]
-		if !ok {
+	// Groups by root ID. Every later choice depends on the partition
+	// alone, so the union order above does not show in the result.
+	groups := make([]*pageNet, len(ps.parent))
+	var ordered []*pageNet
+	group := func(p geom.Point) *pageNet {
+		root := ps.find(ps.add(p))
+		g := groups[root]
+		if g == nil {
 			g = &pageNet{anchor: p}
 			groups[root] = g
+			ordered = append(ordered, g)
 		}
+		return g
+	}
+	get := func(p geom.Point) *pageNet {
+		g := group(p)
 		if less(p, g.anchor) {
 			g.anchor = p
 		}
@@ -194,23 +263,20 @@ func extractPage(d *Design, pg *Page) (map[geom.Point]*pageNet, error) {
 		g := get(c.At)
 		g.conns = append(g.conns, c)
 	}
-	for _, in := range pg.InstanceNames() {
+	for _, in := range names {
 		inst := pg.Instances[in]
 		sym, _ := d.Symbol(inst.Sym)
 		for _, p := range sym.Pins {
-			abs := inst.Placement.Apply(p.Pos)
 			// An unconnected pin forms no group unless something else is
 			// at the same point.
-			root := ps.find(abs)
-			g, ok := groups[root]
-			if !ok {
-				g = &pageNet{anchor: abs}
-				groups[root] = g
-			}
+			g := group(inst.Placement.Apply(p.Pos))
 			g.pins = append(g.pins, pinRef{inst: in, pin: p.Name})
 		}
 	}
-	return groups, nil
+	// An anchor is a point of its own group, so no two groups share one
+	// and the order is total.
+	sort.Slice(ordered, func(i, j int) bool { return less(ordered[i].anchor, ordered[j].anchor) })
+	return ordered, nil
 }
 
 func less(a, b geom.Point) bool {
@@ -315,23 +381,7 @@ func Extract(d *Design, opts ExtractOptions) (*netlist.Netlist, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Deterministic order by anchor.
-			keys := make([]geom.Point, 0, len(groups))
-			for k := range groups {
-				keys = append(keys, groups[k].anchor)
-			}
-			sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-			seen := make(map[*pageNet]bool)
-			ordered := make([]*pageNet, 0, len(groups))
-			for _, k := range keys {
-				for _, g := range groups {
-					if g.anchor == k && !seen[g] {
-						seen[g] = true
-						ordered = append(ordered, g)
-					}
-				}
-			}
-			for _, g := range ordered {
+			for _, g := range groups {
 				if g.isDangling() {
 					continue
 				}
@@ -485,6 +535,7 @@ type FloatingEnd struct {
 // FloatingEnds finds all floating wire endpoints in a cell.
 func FloatingEnds(d *Design, c *Cell) ([]FloatingEnd, error) {
 	var out []FloatingEnd
+	var on []int
 	for pi, pg := range c.Pages {
 		// Build the set of "anchored" points: pins, connectors, labels.
 		anchored := make(map[geom.Point]bool)
@@ -510,6 +561,7 @@ func FloatingEnds(d *Design, c *Cell) ([]FloatingEnd, error) {
 			occupancy[w.Points[0]]++
 			occupancy[w.Points[len(w.Points)-1]]++
 		}
+		ix := newSegIndex(pg.Wires)
 		for wi, w := range pg.Wires {
 			if len(w.Points) < 2 {
 				continue
@@ -520,17 +572,10 @@ func FloatingEnds(d *Design, c *Cell) ([]FloatingEnd, error) {
 				}
 				// Also not floating if it lands mid-segment of another wire.
 				touches := false
-				for wj, w2 := range pg.Wires {
-					if wj == wi {
-						continue
-					}
-					for i := 0; i+1 < len(w2.Points); i++ {
-						if onSegment(end, w2.Points[i], w2.Points[i+1]) {
-							touches = true
-							break
-						}
-					}
-					if touches {
+				on = ix.wiresAt(end, on[:0])
+				for _, wj := range on {
+					if wj != wi {
+						touches = true
 						break
 					}
 				}

@@ -61,7 +61,8 @@ type TranslateRequest struct {
 	Jobs      int    `json:"jobs,omitempty"`
 	RoundTrip bool   `json:"roundtrip,omitempty"`
 	// DeadlineMS bounds this request's wall-clock service time (0 = the
-	// server default). Only the daemon reads it; the CLIs have no deadline.
+	// server's deadline); it may shorten the server's deadline but never
+	// lengthen it. Only the daemon reads it; the CLIs have no deadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 

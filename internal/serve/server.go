@@ -26,7 +26,7 @@ type Config struct {
 	// per worker slot; 0 sheds the moment every slot is busy.
 	Queue int
 	// Deadline is the default per-request wall-clock deadline (0 = none);
-	// a request's deadline_ms field overrides it.
+	// a request's deadline_ms field may shorten it but never lengthen it.
 	Deadline time.Duration
 	// CacheMem / CacheDir select the shared memo cache every request
 	// consults: in-memory, persistent under a directory, or (neither) off.
@@ -212,7 +212,8 @@ func (s *Server) Requests() []RequestLog {
 }
 
 // deadlined is implemented by every request struct: the per-request
-// deadline override in milliseconds (0 = server default).
+// deadline in milliseconds (0 = the server's deadline), which may only
+// shorten the server's deadline.
 type deadlined interface{ deadlineMS() int64 }
 
 // post adapts one engine closure into an admission-gated HTTP handler.
@@ -292,12 +293,20 @@ func (s *Server) retryAfter() string {
 	return strconv.Itoa(1 + depth/workers)
 }
 
-// requestDeadline resolves the effective wall-clock deadline.
+// requestDeadline resolves the effective wall-clock deadline: the
+// smaller of the client's deadline_ms and the server's default, so a
+// client may shorten the operator's deadline but never lengthen it. With
+// no default, the client's value stands. The comparison is in whole
+// milliseconds first, so a huge deadline_ms cannot overflow past the
+// default.
 func requestDeadline(overrideMS int64, def time.Duration) time.Duration {
-	if overrideMS > 0 {
-		return time.Duration(overrideMS) * time.Millisecond
+	if overrideMS <= 0 {
+		return def
 	}
-	return def
+	if def > 0 && overrideMS > int64(def/time.Millisecond) {
+		return def
+	}
+	return time.Duration(overrideMS) * time.Millisecond
 }
 
 // count bumps the endpoint-scoped and server-global counters for one

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -332,6 +333,51 @@ func TestQueuedDeadlineMapsTo504(t *testing.T) {
 	}
 	if got := s.Metrics().Counter("serve.flow.timeout").Value(); got != 1 {
 		t.Errorf("serve.flow.timeout = %d", got)
+	}
+}
+
+// TestClientCannotLengthenDeadline holds the only slot of a server whose
+// operator deadline is 50ms and sends a request asking for ten minutes:
+// it must still time out in the queue at the operator's deadline.
+func TestClientCannotLengthenDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, Queue: 4, Deadline: 50 * time.Millisecond})
+	if err := s.Gate().Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Gate().Release()
+	client := &http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Post(ts.URL+"/v1/flow", "application/json", strings.NewReader(`{"blocks":2,"deadline_ms":600000}`))
+	if err != nil {
+		t.Fatalf("no answer within the client's timeout: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+}
+
+func TestRequestDeadline(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		name     string
+		clientMS int64
+		def      time.Duration
+		want     time.Duration
+	}{
+		{"neither", 0, 0, 0},
+		{"operator only", 0, 50 * ms, 50 * ms},
+		{"client only", 600000, 0, 600000 * ms},
+		{"client shortens", 40, 50 * ms, 40 * ms},
+		{"client cannot lengthen", 600000, 50 * ms, 50 * ms},
+		{"equal", 50, 50 * ms, 50 * ms},
+		{"negative is unset", -5, 50 * ms, 50 * ms},
+		{"operator's fraction of a millisecond", 51, 50*ms + 500*time.Microsecond, 50*ms + 500*time.Microsecond},
+		{"huge client value", math.MaxInt64, time.Second, time.Second},
+	}
+	for _, c := range cases {
+		if got := requestDeadline(c.clientMS, c.def); got != c.want {
+			t.Errorf("%s: requestDeadline(%d, %v) = %v, want %v", c.name, c.clientMS, c.def, got, c.want)
+		}
 	}
 }
 
