@@ -22,8 +22,9 @@ BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora
 # (testdata/fuzz/FuzzParse for the parsers, FuzzJournalReplay for the
-# WAL recovery path). FUZZTIME is per package.
-FUZZ_PKGS = ./internal/al ./internal/hdl ./internal/exchange ./internal/schematic/vl ./internal/schematic/cd ./internal/journal
+# WAL recovery path, FuzzFrame for the integrity frame). FUZZTIME is per
+# package.
+FUZZ_PKGS = ./internal/al ./internal/hdl ./internal/exchange ./internal/schematic/vl ./internal/schematic/cd ./internal/journal ./internal/frame
 FUZZTIME ?= 10s
 
 # Coverage gate: aggregate statement coverage across ./internal/... and
@@ -82,7 +83,7 @@ cover:
 # without crashing (DESIGN.md §5e, §5j). Not part of `check` — the
 # deterministic prefix/mutation sweeps cover the same contract there.
 # -fuzz 'Fuzz' matches the single target in each package (FuzzParse in
-# the parsers, FuzzJournalReplay in journal).
+# the parsers, FuzzJournalReplay in journal, FuzzFrame in frame).
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \
 		echo "fuzz $$pkg"; \

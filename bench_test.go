@@ -654,12 +654,12 @@ func BenchmarkFlowCacheWarm(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := memo.New(nil)
-		if _, err := backplane.RunFlows(gen, tools, 5, par.Cache(cache)); err != nil {
+		if _, err := backplane.RunFlowsObserved(gen, tools, 5, false, nil, cache); err != nil {
 			b.Fatal(err) // prime the cache outside the timed loop
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := backplane.RunFlows(gen, tools, 5, par.Cache(cache)); err != nil {
+			if _, err := backplane.RunFlowsObserved(gen, tools, 5, false, nil, cache); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -72,7 +72,7 @@ func run(jobs int, cpuprofile, memprofile, traceFile, metricsFile string, useCac
 	} else if useCache {
 		cache = memo.New(rec.Metrics())
 	}
-	reports, err := experiments.RunObserved(ids, rec, par.Workers(jobs), par.Cache(cache))
+	reports, err := experiments.RunObserved(ids, rec, cache, par.Workers(jobs))
 	for _, r := range reports {
 		fmt.Println(r.String())
 	}

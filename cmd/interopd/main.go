@@ -75,6 +75,14 @@ func main() {
 	}
 }
 
+// Transport bounds, so a slow or silent client cannot hold a connection:
+// the time to send a request header, and to keep an idle connection.
+// They are fixed, not flags; a test shortens the first.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
 // daemon serves on ln until ctx is canceled (SIGTERM/interrupt in main),
 // then drains: in-flight requests finish, new connections are refused.
 func daemon(ctx context.Context, cfg serve.Config, ln net.Listener, logw io.Writer) error {
@@ -83,7 +91,7 @@ func daemon(ctx context.Context, cfg serve.Config, ln net.Listener, logw io.Writ
 		return err
 	}
 	defer s.Close()
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(logw, "interopd: serving on %s (workers=%d)\n", ln.Addr(), s.Gate().Workers())

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"path/filepath"
 	"strings"
@@ -155,5 +156,37 @@ func TestClientConnectionRefused(t *testing.T) {
 	var out, errw bytes.Buffer
 	if code := client(addr, "/v1/flow", "", "{}", &out, &errw); code != 2 {
 		t.Errorf("exit %d, want 2 for transport failure", code)
+	}
+}
+
+// TestSlowHeaderClosed: a connection that sends part of a request header
+// and then stalls is closed once readHeaderTimeout passes, and the daemon
+// keeps serving other clients.
+func TestSlowHeaderClosed(t *testing.T) {
+	orig := readHeaderTimeout
+	readHeaderTimeout = 100 * time.Millisecond
+	defer func() { readHeaderTimeout = orig }()
+	addr, cancel, done := startDaemon(t, serve.Config{Workers: 1})
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "POST /v1/flow HTTP/1.1\r\nHost: interopd\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, conn); err != nil {
+		t.Fatalf("stalled connection was not closed by the server: %v", err)
+	}
+
+	var out, errw bytes.Buffer
+	if code := client(addr, "/v1/flow", "", `{"blocks":1}`, &out, &errw); code != 0 {
+		t.Fatalf("request after the stalled connection: exit %d, stderr %q", code, errw.String())
 	}
 }

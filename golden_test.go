@@ -34,7 +34,8 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // bplane/cells<N>-seed<S>-<mode>.txt is what cmd/bplane and
 // /v1/translate print for that run, and schemig/gen<N>-seed<S>.txt is
 // what `schemig -gen N -seed S -v` prints, each followed by the returned
-// error, if any.
+// error, if any. disk/ holds stored bytes: interchange files, a cache
+// entry and two journals (golden_disk_test.go).
 const goldenDir = "testdata/golden"
 
 // goldenBplaneModes are the bplane flag sets each (cells, seed) pair runs
@@ -87,6 +88,7 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 			out[file] = miss
 		}
 	}
+	renderDisk(t, out)
 	return out
 }
 
@@ -126,6 +128,7 @@ func TestGolden(t *testing.T) {
 			}
 		}
 	}
+	checkDiskReaders(t)
 	// A file no case renders any more would pass unnoticed forever.
 	filepath.WalkDir(goldenDir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {

@@ -412,31 +412,30 @@ func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 // behaviour, while callers that inspect per-entry Err keep every
 // surviving flow.
 func RunFlows(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, opts ...par.Option) ([]*FlowResult, error) {
-	return RunFlowsChecked(gen, tools, seed, false, opts...)
+	return RunFlowsObserved(gen, tools, seed, false, nil, nil, opts...)
 }
 
-// RunFlowsChecked is RunFlows with an optional interchange integrity gate.
+// RunFlowsObserved is RunFlows with an optional interchange integrity
+// gate, observability and a result cache attached.
+//
 // When roundTrip is true, each tool's private netlist is round-tripped
-// through the exchange format (write → read under checksum/manifest guards →
-// semantic compare) before the flow runs, so interchange corruption is
-// caught at the handoff instead of surfacing as silent quality-of-results
-// damage downstream. A gate failure occupies the tool's result slot via
-// FlowResult.Err, like any other per-tool failure.
-func RunFlowsChecked(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, roundTrip bool, opts ...par.Option) ([]*FlowResult, error) {
-	return RunFlowsObserved(gen, tools, seed, roundTrip, nil, opts...)
-}
-
-// RunFlowsObserved is RunFlowsChecked with observability attached. Each
-// tool's flow records into a private child recorder on its own
+// through the exchange format (write → read under checksum/manifest
+// guards → semantic compare) before the flow runs, so interchange
+// corruption is caught at the handoff instead of surfacing as silent
+// quality-of-results damage downstream. A gate failure occupies the
+// tool's result slot via FlowResult.Err, like any other per-tool failure.
+//
+// Each tool's flow records into a private child recorder on its own
 // step-clock — flows run concurrently, but each child is single-writer
 // and deterministic — and the children merge under one "backplane" span
 // in canonical tool order once the fan-out completes, so the final trace
 // is byte-identical at every worker count. Fan-out loss and failure
 // totals, the router's counters, and the pool's queue metrics land in
-// rec's registry. rec may be nil (plain RunFlowsChecked).
-func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, roundTrip bool, rec *obs.Recorder, opts ...par.Option) ([]*FlowResult, error) {
+// rec's registry. rec may be nil.
+//
+// cache memoizes each tool's clean flow (nil = no memoization).
+func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, roundTrip bool, rec *obs.Recorder, cache *memo.Cache, opts ...par.Option) ([]*FlowResult, error) {
 	reg := rec.Metrics()
-	cache := par.CacheOf(opts...)
 	var children []*obs.Recorder
 	if rec != nil {
 		children = make([]*obs.Recorder, len(tools))

@@ -58,7 +58,7 @@ func TestRunFlowsWarmCacheSkipsTools(t *testing.T) {
 	tools := AllTools()
 
 	rec1 := obs.New(nil)
-	cold, err := RunFlowsObserved(gen, tools, 5, false, rec1, par.Workers(2), par.Cache(cache))
+	cold, err := RunFlowsObserved(gen, tools, 5, false, rec1, cache, par.Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestRunFlowsWarmCacheSkipsTools(t *testing.T) {
 	}
 
 	rec2 := obs.New(nil)
-	warm, err := RunFlowsObserved(gen, tools, 5, false, rec2, par.Workers(2), par.Cache(cache))
+	warm, err := RunFlowsObserved(gen, tools, 5, false, rec2, cache, par.Workers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

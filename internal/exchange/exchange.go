@@ -26,6 +26,7 @@ import (
 
 	"cadinterop/internal/al"
 	"cadinterop/internal/diag"
+	"cadinterop/internal/frame"
 	"cadinterop/internal/naming"
 	"cadinterop/internal/netlist"
 )
@@ -57,21 +58,19 @@ type WriteOptions struct {
 	Hints bool
 }
 
-// Write serializes the netlist.
+// Write serializes the netlist. With the trailer on, the body is hashed
+// as it streams to w (internal/frame), so no copy of the file is held.
 func Write(w io.Writer, nl *netlist.Netlist, opts WriteOptions) error {
 	ct := countElems(nl)
 	if !opts.Trailer {
 		return writeBody(w, nl, opts, ct)
 	}
-	var buf bytes.Buffer
-	buf.Grow(128 + 64*ct.cells + 32*(ct.ports+ct.nets+ct.insts+ct.conns+ct.attrs))
-	if err := writeBody(&buf, nl, opts, ct); err != nil {
+	fw := frame.NewWriter(w)
+	if err := writeBody(fw, nl, opts, ct); err != nil {
 		return err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	fmt.Fprintf(&buf, "; integrity sha256:%s cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d\n",
-		hex.EncodeToString(sum[:]), ct.cells, ct.ports, ct.nets, ct.insts, ct.conns, ct.attrs)
-	_, err := w.Write(buf.Bytes())
+	_, err := fw.Seal("integrity", fmt.Sprintf("cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d",
+		ct.cells, ct.ports, ct.nets, ct.insts, ct.conns, ct.attrs))
 	return err
 }
 
@@ -364,21 +363,12 @@ func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 	return nil
 }
 
-// parseTrailerFields validates a trailer line against the body checksum
-// and decodes its manifest counts. A non-empty message names the failure.
-func parseTrailerFields(line string, bodySum [sha256.Size]byte) (*elemCounts, string) {
-	fields := strings.Fields(line[len("; "):])
-	// fields[0] = "integrity", fields[1] = "sha256:<hex>", then k=v counts.
-	if len(fields) < 2 || !strings.HasPrefix(fields[1], "sha256:") {
-		return nil, "malformed integrity trailer"
-	}
-	wantSum := strings.TrimPrefix(fields[1], "sha256:")
-	if hex.EncodeToString(bodySum[:]) != wantSum {
-		return nil, "content checksum mismatch: body does not match sha256 in trailer"
-	}
+// manifestCounts decodes the integrity trailer's k=v manifest, skipping
+// other fields and unknown keys. A non-empty message names the failure.
+func manifestCounts(fields []string) (*elemCounts, string) {
 	var ct elemCounts
 	seen := 0
-	for _, f := range fields[2:] {
+	for _, f := range fields {
 		k, v, ok := strings.Cut(f, "=")
 		if !ok {
 			continue

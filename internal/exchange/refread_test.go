@@ -6,13 +6,15 @@ package exchange
 // checked and the renames collected before any record, and names are
 // restored while the netlist is built. It is the reference the one reader
 // is proven against (stream_test.go). It shares with the package only
-// code that resolves no positions: reconcile, integrityErr and the
-// trailer, hints and name helpers. It lives in a _test.go file so no dead
-// code ships.
+// code that resolves no positions: reconcile, integrityErr and the hints
+// and name helpers; its trailer parse is frozen here too. It lives in a
+// _test.go file so no dead code ships.
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cadinterop/internal/al"
@@ -191,11 +193,61 @@ func (rd *refReader) checkTrailer(require bool) (*elemCounts, error) {
 	}
 	pos := diag.LineCol(rd.src, start)
 	sum := sha256.Sum256([]byte(rd.src[:start]))
-	ct, msg := parseTrailerFields(line, sum)
+	ct, msg := refParseTrailerFields(line, sum)
 	if msg != "" {
 		return nil, rd.integrityErr(pos, "%s", msg)
 	}
 	return ct, nil
+}
+
+// refParseTrailerFields validates a trailer line against the body
+// checksum and decodes its manifest counts. A non-empty message names the
+// failure. It is frozen with the reader, so the reference pins the
+// trailer verdicts too: fields split on any white space, and the
+// checksum must be the lowercase hex of the body's sha256.
+func refParseTrailerFields(line string, bodySum [sha256.Size]byte) (*elemCounts, string) {
+	fields := strings.Fields(line[len("; "):])
+	// fields[0] = "integrity", fields[1] = "sha256:<hex>", then k=v counts.
+	if len(fields) < 2 || !strings.HasPrefix(fields[1], "sha256:") {
+		return nil, "malformed integrity trailer"
+	}
+	wantSum := strings.TrimPrefix(fields[1], "sha256:")
+	if hex.EncodeToString(bodySum[:]) != wantSum {
+		return nil, "content checksum mismatch: body does not match sha256 in trailer"
+	}
+	var ct elemCounts
+	seen := 0
+	for _, f := range fields[2:] {
+		k, v, ok := strings.Cut(f, "=")
+		if !ok {
+			continue
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return nil, fmt.Sprintf("malformed count %q in integrity trailer", f)
+		}
+		switch k {
+		case "cells":
+			ct.cells = n
+		case "ports":
+			ct.ports = n
+		case "nets":
+			ct.nets = n
+		case "insts":
+			ct.insts = n
+		case "conns":
+			ct.conns = n
+		case "attrs":
+			ct.attrs = n
+		default:
+			continue
+		}
+		seen++
+	}
+	if seen != 6 {
+		return nil, fmt.Sprintf("integrity trailer manifest incomplete (%d of 6 counts)", seen)
+	}
+	return &ct, ""
 }
 
 // lastLine returns the last non-empty line of src and its byte offset.

@@ -27,10 +27,10 @@ import (
 	"hash"
 	"io"
 	"sort"
-	"strings"
 
 	"cadinterop/internal/al"
 	"cadinterop/internal/diag"
+	"cadinterop/internal/frame"
 	"cadinterop/internal/netlist"
 )
 
@@ -492,27 +492,25 @@ func (st *stream) abort(aerr error, require bool) error {
 }
 
 // resolveTrailer identifies and verifies the integrity trailer at end of
-// input and rotates its status diagnostic to the front of the report.
+// input and rotates its status diagnostic, if any, to the front of the
+// report.
 func (st *stream) resolveTrailer(require bool) (*elemCounts, error) {
 	rd := st.rd
 	line, pos, sum, ok := st.tee.resolve()
-	pre := len(rd.col.Diags)
-	const prefix = "; integrity sha256:"
-	if !ok || !strings.HasPrefix(line, prefix) {
-		if require {
-			err := rd.integrityErr(diag.NoPos, "required integrity trailer is absent")
-			st.rotate(pre)
-			return nil, err
-		}
+	defer st.rotate(len(rd.col.Diags))
+	fields, found, match := frame.Parse(line, "integrity", sum)
+	switch {
+	case (!ok || !found) && require:
+		return nil, rd.integrityErr(diag.NoPos, "required integrity trailer is absent")
+	case !ok || !found:
 		rd.col.Infof("integrity", diag.NoPos, "integrity trailer absent; content not verified")
-		st.rotate(pre)
 		return nil, nil
+	case !match:
+		return nil, rd.integrityErr(pos, "content checksum mismatch: body does not match sha256 in trailer")
 	}
-	ct, msg := parseTrailerFields(line, sum)
+	ct, msg := manifestCounts(fields)
 	if msg != "" {
-		err := rd.integrityErr(pos, "%s", msg)
-		st.rotate(pre)
-		return nil, err
+		return nil, rd.integrityErr(pos, "%s", msg)
 	}
 	return ct, nil
 }

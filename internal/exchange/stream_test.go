@@ -252,6 +252,20 @@ func TestStreamEquivalenceIntegrity(t *testing.T) {
 		fmt.Fprintf(&buf, trailer+"\n", hex.EncodeToString(sum[:]))
 		return buf.Bytes()
 	}
+	// counts is the true manifest, as the writer renders it after the
+	// checksum: "cells=N ports=N ...".
+	lines := strings.Split(strings.TrimSuffix(good.String(), "\n"), "\n")
+	counts := strings.SplitN(lines[len(lines)-1], " ", 4)[3]
+	hexSum := func(trailer string, edit func(string) string) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, nl, WriteOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		fmt.Fprintf(&buf, trailer+"\n", edit(hex.EncodeToString(sum[:])))
+		return buf.Bytes()
+	}
+	same := func(s string) string { return s }
 	cases := []struct {
 		name string
 		data []byte
@@ -260,6 +274,13 @@ func TestStreamEquivalenceIntegrity(t *testing.T) {
 		{"malformed-count", body("; integrity sha256:%s cells=x ports=0 nets=0 insts=0 conns=0 attrs=0")},
 		{"incomplete-manifest", body("; integrity sha256:%s cells=2")},
 		{"manifest-mismatch", body("; integrity sha256:%s cells=99 ports=2 nets=6 insts=4 conns=8 attrs=5")},
+		// White space and hex spelling: the reader splits fields on any
+		// white space and wants the lowercase hex of the full checksum.
+		{"tab-between-fields", hexSum("; integrity sha256:%s\t"+strings.Replace(counts, " ", "\t", 1), same)},
+		{"double-space-between-fields", hexSum("; integrity sha256:%s  "+strings.Replace(counts, " ", "  ", 1), same)},
+		{"uppercase-hex", hexSum("; integrity sha256:%s "+counts, strings.ToUpper)},
+		{"short-hex", hexSum("; integrity sha256:%s "+counts, func(h string) string { return h[:32] })},
+		{"no-hex-digits", hexSum("; integrity sha256:%s "+counts, func(string) string { return "" })},
 	}
 	for _, tc := range cases {
 		for _, mode := range []diag.Mode{diag.Strict, diag.Lenient} {

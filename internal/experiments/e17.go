@@ -33,8 +33,8 @@ func E17Memoization() (*Report, error) {
 	var coldRows []string
 	for _, pass := range []string{"cold", "warm"} {
 		rec := obs.New(nil)
-		results, err := backplane.RunFlowsObserved(gen, tools, 5, false, rec,
-			par.Workers(2), par.Cache(cache))
+		results, err := backplane.RunFlowsObserved(gen, tools, 5, false, rec, cache,
+			par.Workers(2))
 		if err != nil {
 			return nil, err
 		}

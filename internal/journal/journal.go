@@ -2,10 +2,10 @@
 // long-running state: an append-only sequence of integrity-framed records
 // that survives process death with crash-exact semantics. Each record is
 // one payload line followed by a trailer line carrying the payload's
-// sha256, byte count, and sequence number — the same trailer discipline
-// the interchange data plane (exchange WriteOptions.Trailer, DESIGN.md
-// §5e) and the memo cache use, extended with a sequence so a journal can
-// never be silently reordered, spliced, or resumed out of step. A reader
+// sha256, byte count, and sequence number — the integrity frame the
+// interchange files and the memo cache share (internal/frame), extended
+// with a sequence so a journal can never be silently reordered, spliced,
+// or resumed out of step. A reader
 // validates every frame and truncates to the last valid prefix: a torn
 // tail from a mid-append crash, a corrupt record from disk damage, or any
 // byte mutation surfaces as "the journal ends here", never as bad state
@@ -19,13 +19,14 @@ package journal
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
+
+	"cadinterop/internal/frame"
 )
 
 // Errors.
@@ -53,25 +54,6 @@ const CrashExitStatus = 137
 // point without dying.
 var exitProcess = func() { os.Exit(CrashExitStatus) }
 
-// fsync seams, swappable in durability tests (see journal_test.go). The
-// write path must hand bytes to the device before a record is considered
-// committed; the test hook asserts the sync actually sits between the
-// write and the caller's continuation.
-var (
-	syncFile = func(f *os.File) error { return f.Sync() }
-	syncDir  = func(dir string) error {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		serr := d.Sync()
-		if cerr := d.Close(); serr == nil {
-			serr = cerr
-		}
-		return serr
-	}
-)
-
 // Rec is one validated record.
 type Rec struct {
 	// Seq is the record's 1-based position in the journal.
@@ -80,12 +62,10 @@ type Rec struct {
 	Payload []byte
 }
 
-// trailerFor renders the integrity trailer for one framed record. The
-// trailer is compared byte-for-byte on read, so its rendering is part of
-// the on-disk format and must never change shape.
-func trailerFor(payload []byte, seq int64) string {
-	sum := sha256.Sum256(payload)
-	return fmt.Sprintf("; wal sha256:%s bytes=%d seq=%d\n", hex.EncodeToString(sum[:]), len(payload), seq)
+// recordFields renders the fields of one record's trailer, which is
+// compared byte-for-byte on read: its rendering must never change shape.
+func recordFields(payload []byte, seq int64) string {
+	return "bytes=" + strconv.Itoa(len(payload)) + " seq=" + strconv.FormatInt(seq, 10)
 }
 
 // Scan parses data into its longest valid record prefix. It returns the
@@ -109,7 +89,7 @@ func Scan(data []byte) (recs []Rec, valid int, err error) {
 			return recs, off, fmt.Errorf("%w: unterminated trailer at offset %d", ErrTorn, off)
 		}
 		trailer := string(rest[:tnl+1])
-		if trailer != trailerFor(payload, seq+1) {
+		if trailer != frame.Line("wal", payload, recordFields(payload, seq+1)) {
 			return recs, off, fmt.Errorf("%w: record %d trailer mismatch at offset %d", ErrTorn, seq+1, off)
 		}
 		seq++
@@ -122,13 +102,16 @@ func Scan(data []byte) (recs []Rec, valid int, err error) {
 // Writer appends framed records to one backing stream. A file-backed
 // Writer (from OpenFile) fsyncs after every append, so a record returned
 // without error is on the device: the write-ahead contract resume relies
-// on. A Writer is not safe for concurrent use; callers serialize (the
-// workflow engine is single-goroutine, the daemon appends under its
-// request-log mutex).
+// on. The first failed write or sync is latched and every later Append
+// returns it: a record appended after torn bytes, or under a repeated
+// sequence number, could never be recovered. A Writer is not safe for
+// concurrent use; callers serialize (the workflow engine is
+// single-goroutine, the daemon appends under its request-log mutex).
 type Writer struct {
 	w   io.Writer
 	f   *os.File // non-nil when file-backed: synced per append
 	seq int64
+	err error // the latched write or sync failure
 
 	// crashAfter > 0 arms the fault-injection hook: the process exits with
 	// CrashExitStatus immediately after the crashAfter-th successful append
@@ -161,19 +144,21 @@ func (w *Writer) CrashAfter(n int) {
 // crash after Append resumes with this record present, a crash during it
 // resumes with the torn frame truncated.
 func (w *Writer) Append(payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	if bytes.IndexByte(payload, '\n') >= 0 {
 		return ErrPayload
 	}
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + 112)
-	buf.Write(payload)
-	buf.WriteByte('\n')
-	buf.WriteString(trailerFor(payload, w.seq+1))
-	if _, err := w.w.Write(buf.Bytes()); err != nil {
+	rec := append(payload[:len(payload):len(payload)], '\n')
+	rec = append(rec, frame.Line("wal", payload, recordFields(payload, w.seq+1))...)
+	if _, err := w.w.Write(rec); err != nil {
+		w.err = err
 		return err
 	}
 	if w.f != nil {
-		if err := syncFile(w.f); err != nil {
+		if err := frame.SyncFile(w.f); err != nil {
+			w.err = err
 			return err
 		}
 	}
@@ -235,7 +220,7 @@ func OpenFile(path string) ([]Rec, *Writer, error) {
 			f.Close()
 			return nil, nil, err
 		}
-		if err := syncFile(f); err != nil {
+		if err := frame.SyncFile(f); err != nil {
 			f.Close()
 			return nil, nil, err
 		}
@@ -244,7 +229,7 @@ func OpenFile(path string) ([]Rec, *Writer, error) {
 		f.Close()
 		return nil, nil, err
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := frame.SyncDir(filepath.Dir(path)); err != nil {
 		f.Close()
 		return nil, nil, err
 	}

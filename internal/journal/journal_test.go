@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"cadinterop/internal/frame"
 )
 
 func appendAll(t *testing.T, w *Writer, payloads ...string) {
@@ -255,12 +258,12 @@ func TestOpenFileExcludesSecondHolder(t *testing.T) {
 // File-backed writers must sync on every append, before Append returns —
 // the write-ahead contract. The seam counts syncs.
 func TestAppendSyncsPerRecord(t *testing.T) {
-	origFile, origDir := syncFile, syncDir
-	defer func() { syncFile, syncDir = origFile, origDir }()
+	origFile, origDir := frame.SyncFile, frame.SyncDir
+	defer func() { frame.SyncFile, frame.SyncDir = origFile, origDir }()
 	fileSyncs := 0
-	syncFile = func(f *os.File) error { fileSyncs++; return f.Sync() }
+	frame.SyncFile = func(f *os.File) error { fileSyncs++; return f.Sync() }
 	dirSyncs := 0
-	syncDir = func(dir string) error { dirSyncs++; return origDir(dir) }
+	frame.SyncDir = func(dir string) error { dirSyncs++; return origDir(dir) }
 
 	path := filepath.Join(t.TempDir(), "run.wal")
 	_, w, err := OpenFile(path)
@@ -284,14 +287,90 @@ func TestAppendSyncsPerRecord(t *testing.T) {
 
 // In-memory writers never touch the sync seams.
 func TestMemWriterNoSync(t *testing.T) {
-	origFile := syncFile
-	defer func() { syncFile = origFile }()
-	syncFile = func(f *os.File) error {
-		t.Fatal("syncFile called for in-memory writer")
+	origFile := frame.SyncFile
+	defer func() { frame.SyncFile = origFile }()
+	frame.SyncFile = func(f *os.File) error {
+		t.Fatal("SyncFile called for in-memory writer")
 		return nil
 	}
 	w := NewWriter(&bytes.Buffer{})
 	appendAll(t, w, "a", "b")
+}
+
+// tearingWriter accepts its first write whole, writes half of its second
+// and fails, and accepts everything after — a device that recovers from
+// a transient fault.
+type tearingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *tearingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == 2 {
+		n, _ := w.buf.Write(p[:len(p)/2])
+		return n, errors.New("device error")
+	}
+	return w.buf.Write(p)
+}
+
+// TestAppendLatchesWriteFailure: after a torn write, no later Append may
+// report success. A record appended after the torn bytes can never be
+// recovered, so the scan must yield exactly the records whose Append
+// returned nil.
+func TestAppendLatchesWriteFailure(t *testing.T) {
+	tw := &tearingWriter{}
+	w := NewWriter(tw)
+	var acked []string
+	for i := 1; i <= 4; i++ {
+		p := fmt.Sprintf(`{"rec":%d}`, i)
+		if err := w.Append([]byte(p)); err == nil {
+			acked = append(acked, p)
+		} else if i > 2 && err.Error() != "device error" {
+			t.Errorf("append %d: err = %v, want the latched device error", i, err)
+		}
+	}
+	recs, _, _ := Scan(tw.buf.Bytes())
+	var got []string
+	for _, r := range recs {
+		got = append(got, string(r.Payload))
+	}
+	if !reflect.DeepEqual(got, acked) {
+		t.Fatalf("scan recovered %q, but Append acknowledged %q", got, acked)
+	}
+	if w.Seq() != int64(len(acked)) {
+		t.Fatalf("Seq = %d after %d acknowledged appends", w.Seq(), len(acked))
+	}
+}
+
+// TestAppendLatchesSyncFailure: after a failed fsync the writer must not
+// append again — the next record would repeat the unsynced record's
+// sequence number and end the valid journal there.
+func TestAppendLatchesSyncFailure(t *testing.T) {
+	origFile := frame.SyncFile
+	defer func() { frame.SyncFile = origFile }()
+	path := filepath.Join(t.TempDir(), "run.wal")
+	_, w, err := OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	appendAll(t, w, "one")
+	frame.SyncFile = func(*os.File) error { return errors.New("sync failed") }
+	if err := w.Append([]byte("two")); err == nil {
+		t.Fatal("append with a failed sync returned nil")
+	}
+	frame.SyncFile = origFile
+	if err := w.Append([]byte("three")); err == nil || err.Error() != "sync failed" {
+		t.Fatalf("append after a failed sync: err = %v, want the latched sync error", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs, valid, err := Scan(data); err != nil || valid != len(data) || len(recs) > 2 {
+		t.Fatalf("journal after a failed sync: %d records, %d/%d bytes valid, %v", len(recs), valid, len(data), err)
+	}
 }
 
 func TestCrashAfter(t *testing.T) {

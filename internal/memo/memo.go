@@ -22,8 +22,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
+	"cadinterop/internal/frame"
 	"cadinterop/internal/obs"
 )
 
@@ -99,11 +101,12 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	v, ok := c.mem[id]
 	c.mu.Unlock()
 	if !ok && c.dir != "" {
-		if p, derr := readEntry(filepath.Join(c.dir, id)); derr == nil {
-			v, ok = p, true
-			c.mu.Lock()
-			c.mem[id] = v
-			c.mu.Unlock()
+		if data, err := os.ReadFile(filepath.Join(c.dir, id)); err == nil {
+			if v, ok = frame.Open(data, "integrity", entryFields); ok {
+				c.mu.Lock()
+				c.mem[id] = v
+				c.mu.Unlock()
+			}
 		}
 	}
 	if !ok {
@@ -123,7 +126,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 
 // Put stores payload under k. The payload is copied, so callers may reuse
 // their buffer. On a disk-backed cache the entry is written with the
-// integrity trailer via a temp-file rename, so a crashed writer leaves a
+// integrity trailer through frame.WriteFile, so a crashed writer leaves a
 // missing entry, never a torn one. Disk write failures degrade to
 // memory-only silently: a cache must never fail the tool run it serves.
 func (c *Cache) Put(k Key, payload []byte) {
@@ -139,7 +142,7 @@ func (c *Cache) Put(k Key, payload []byte) {
 	c.cPuts.Inc()
 	c.cPutBytes.Add(int64(len(cp)))
 	if c.dir != "" {
-		writeEntry(filepath.Join(c.dir, id), cp)
+		frame.WriteFile(filepath.Join(c.dir, id), frame.Seal(cp, "integrity", entryFields(cp)), 0o644)
 	}
 }
 
@@ -176,104 +179,11 @@ func (c *Cache) HitRate() float64 {
 	return 0
 }
 
-// --- on-disk layout -----------------------------------------------------
+// entryFields renders the fields of a disk entry's trailer. An entry is
+// one file, named by the key's content address, holding the payload
+// sealed by the integrity frame (internal/frame):
 //
-// One file per entry, named by the key's content address:
+//	<payload bytes>; integrity sha256:<hex of payload> bytes=<len payload>\n
 //
-//	<payload bytes>
-//	; integrity sha256:<hex of payload> bytes=<len payload>\n
-//
-// The trailer mirrors the interchange integrity trailer (exchange
-// WriteOptions.Trailer): a guarded read re-hashes the payload and rejects
-// any mismatch, so disk corruption surfaces as a cache miss.
-
-// trailerFor renders the integrity trailer for a payload.
-func trailerFor(payload []byte) string {
-	sum := sha256.Sum256(payload)
-	return fmt.Sprintf("; integrity sha256:%s bytes=%d\n", hex.EncodeToString(sum[:]), len(payload))
-}
-
-// Durability seams for writeEntry, swappable in tests to assert ordering:
-// the temp file's contents must be synced before the rename publishes it,
-// and the parent directory synced after, or a power loss can leave the
-// final name pointing at an empty or half-written entry.
-var (
-	memoSyncFile = func(f *os.File) error { return f.Sync() }
-	memoSyncDir  = func(dir string) error {
-		d, err := os.Open(dir)
-		if err != nil {
-			return err
-		}
-		serr := d.Sync()
-		if cerr := d.Close(); serr == nil {
-			serr = cerr
-		}
-		return serr
-	}
-	memoRename = os.Rename
-)
-
-// writeEntry persists payload+trailer atomically and durably; errors are
-// swallowed (the in-memory entry already exists). The temp file name comes
-// from os.CreateTemp, never a fixed "path.tmp": concurrent writers of the
-// same key — daemon requests sharing one cache dir, or two -cache-dir
-// processes — must each stage into a private file, or their truncate/rename
-// pairs can interleave and publish a torn entry. With private temp files the
-// final rename is the only shared step, and rename is atomic: readers see
-// either a complete old entry or a complete new one. The fsync before the
-// rename and the directory fsync after it extend that guarantee across
-// power loss: rename-before-sync can journal the name change while the
-// data blocks are still in the page cache, surfacing after reboot as an
-// entry full of zeros that passes no integrity check but still cost a
-// read to reject.
-func writeEntry(path string, payload []byte) {
-	data := make([]byte, 0, len(payload)+96)
-	data = append(data, payload...)
-	data = append(data, trailerFor(payload)...)
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
-	if err != nil {
-		return
-	}
-	tmp := f.Name()
-	_, werr := f.Write(data)
-	if werr == nil {
-		werr = memoSyncFile(f)
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Chmod(tmp, 0o644)
-	}
-	if werr == nil {
-		werr = memoRename(tmp, path)
-	}
-	if werr != nil {
-		os.Remove(tmp)
-		return
-	}
-	memoSyncDir(filepath.Dir(path))
-}
-
-// readEntry loads and verifies one on-disk entry, returning the payload.
-// The trailer's length is a function of the payload length alone (fixed
-// prefix + 64 hex digits + the decimal byte count), so the split point is
-// recovered arithmetically — no delimiter scan that an arbitrary payload
-// byte could fool.
-func readEntry(path string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	const fixed = len("; integrity sha256:") + 64 + len(" bytes=") + len("\n")
-	for digits := 1; digits <= 19; digits++ {
-		p := len(data) - fixed - digits
-		if p < 0 || len(fmt.Sprintf("%d", p)) != digits {
-			continue
-		}
-		if string(data[p:]) == trailerFor(data[:p]) {
-			return data[:p], nil
-		}
-	}
-	return nil, fmt.Errorf("memo: %s: integrity trailer missing or corrupt", path)
-}
+// A corrupt or truncated entry fails the frame's check and reads as a miss.
+func entryFields(payload []byte) string { return "bytes=" + strconv.Itoa(len(payload)) }

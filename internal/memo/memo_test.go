@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"cadinterop/internal/frame"
 	"cadinterop/internal/obs"
 )
 
@@ -72,7 +73,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 	k := Key{Content: "sha", Tool: "route", Options: "fp"}
 	// Payloads with and without trailing newline, empty, and one that
-	// embeds a fake trailer line — the arithmetic split must not be fooled.
+	// embeds a fake trailer line — the trailer split must not be fooled.
 	payloads := [][]byte{
 		[]byte("line1\nline2\n"),
 		[]byte("no trailing newline"),
@@ -103,35 +104,37 @@ func TestDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWriteEntryDurabilityOrder pins the crash-safety protocol of
-// writeEntry: the temp file's data must reach disk (fsync) before the
-// rename publishes it under the final name, and the parent directory is
-// synced after the rename. Rename-before-sync is the classic bug — the
-// name change can be journaled while the data is still in the page
-// cache, so a power loss resurrects the entry as zeros.
+// TestWriteEntryDurabilityOrder pins the crash-safety protocol of a disk
+// Put: the temp file's data must reach disk (fsync) before the rename
+// publishes it under the final name, and the parent directory is synced
+// after the rename. Rename-before-sync is the classic bug — the name
+// change can be journaled while the data is still in the page cache, so a
+// power loss resurrects the entry as zeros.
 func TestWriteEntryDurabilityOrder(t *testing.T) {
-	origFile, origDir, origRename := memoSyncFile, memoSyncDir, memoRename
-	defer func() { memoSyncFile, memoSyncDir, memoRename = origFile, origDir, origRename }()
-
-	var order []string
-	memoSyncFile = func(f *os.File) error {
-		order = append(order, "sync-file")
-		return origFile(f)
-	}
-	memoSyncDir = func(dir string) error {
-		order = append(order, "sync-dir")
-		return origDir(dir)
-	}
-	memoRename = func(old, new string) error {
-		order = append(order, "rename")
-		return origRename(old, new)
-	}
+	origFile, origDir := frame.SyncFile, frame.SyncDir
+	defer func() { frame.SyncFile, frame.SyncDir = origFile, origDir }()
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "entry")
-	writeEntry(path, []byte("durable payload"))
+	k := Key{Content: "sha", Tool: "route", Options: "fp"}
+	path := filepath.Join(dir, k.id())
+	published := func() bool { _, err := os.Stat(path); return err == nil }
+	var order []string
+	frame.SyncFile = func(f *os.File) error {
+		order = append(order, fmt.Sprintf("sync-file published=%v", published()))
+		return origFile(f)
+	}
+	frame.SyncDir = func(d string) error {
+		order = append(order, fmt.Sprintf("sync-dir published=%v", published()))
+		return origDir(d)
+	}
 
-	want := []string{"sync-file", "rename", "sync-dir"}
+	c, err := NewDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Put(k, []byte("durable payload"))
+
+	want := []string{"sync-file published=false", "sync-dir published=true"}
 	if len(order) != len(want) {
 		t.Fatalf("durability steps = %v, want %v", order, want)
 	}
@@ -141,42 +144,41 @@ func TestWriteEntryDurabilityOrder(t *testing.T) {
 		}
 	}
 	// And the published entry reads back clean.
-	got, err := readEntry(path)
-	if err != nil || string(got) != "durable payload" {
-		t.Fatalf("readEntry = %q, %v", got, err)
+	c2, err := NewDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c2.Get(k); !ok || string(got) != "durable payload" {
+		t.Fatalf("disk Get = %q, %v", got, ok)
 	}
 }
 
 // TestWriteEntrySyncFailureAborts: if the data fsync fails, the rename
 // must never happen — publishing an unsynced entry is the exact failure
-// the protocol exists to prevent.
+// the protocol exists to prevent. The put still lands in memory.
 func TestWriteEntrySyncFailureAborts(t *testing.T) {
-	origFile, origRename := memoSyncFile, memoRename
-	defer func() { memoSyncFile, memoRename = origFile, origRename }()
-
-	memoSyncFile = func(f *os.File) error { return fmt.Errorf("disk full") }
-	renamed := false
-	memoRename = func(old, new string) error {
-		renamed = true
-		return origRename(old, new)
-	}
+	origFile := frame.SyncFile
+	defer func() { frame.SyncFile = origFile }()
+	frame.SyncFile = func(f *os.File) error { return fmt.Errorf("disk full") }
 
 	dir := t.TempDir()
-	path := filepath.Join(dir, "entry")
-	writeEntry(path, []byte("payload"))
-	if renamed {
-		t.Fatal("entry was published despite a failed data sync")
+	c, err := NewDir(dir, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("final path exists after aborted write: %v", err)
-	}
-	// The temp file must have been cleaned up, not leaked.
+	k := Key{Content: "sha", Tool: "route", Options: "fp"}
+	c.Put(k, []byte("payload"))
+	// No entry was published, and the temp file was cleaned up, not
+	// leaked.
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(ents) != 0 {
-		t.Fatalf("aborted write leaked files: %v", ents)
+		t.Fatalf("aborted write left files: %v", ents)
+	}
+	if v, ok := c.Get(k); !ok || string(v) != "payload" {
+		t.Fatalf("Get after a failed disk write = %q, %v; want the in-memory entry", v, ok)
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cadinterop/internal/memo"
 	"cadinterop/internal/obs"
 )
 
@@ -27,7 +26,6 @@ import (
 type cfg struct {
 	workers int
 	reg     *obs.Registry
-	cache   *memo.Cache
 }
 
 // Option configures a par call.
@@ -49,26 +47,6 @@ func Metrics(reg *obs.Registry) Option {
 // tested against.
 func Workers(n int) Option {
 	return func(c *cfg) { c.workers = n }
-}
-
-// Cache attaches a content-addressed result cache (see internal/memo) to
-// the option list. The pool primitives ignore it; it rides the option
-// list so entry points can hand one knob set to call chains — the
-// backplane's per-tool memoization, migrate's translation cache — that
-// consult it via CacheOf. A nil cache (and the default) disables
-// memoization: every consumer treats Get/Put on a nil *memo.Cache as a
-// no-op miss.
-func Cache(c *memo.Cache) Option {
-	return func(o *cfg) { o.cache = c }
-}
-
-// CacheOf reports the cache the options resolve to (nil when unset).
-func CacheOf(opts ...Option) *memo.Cache {
-	c := cfg{}
-	for _, o := range opts {
-		o(&c)
-	}
-	return c.cache
 }
 
 // resolve applies options and clamps the worker count to the job size.
@@ -172,12 +150,6 @@ func ForEach(n int, fn func(i int) error, opts ...Option) error {
 		}
 	}
 	return nil
-}
-
-// Do runs every function, returning the lowest-index error. It is ForEach
-// over a fixed task list.
-func Do(fns []func() error, opts ...Option) error {
-	return ForEach(len(fns), func(i int) error { return fns[i]() }, opts...)
 }
 
 // MapAll runs fn for EVERY index in [0, n) — no early exit — and returns

@@ -154,22 +154,3 @@ func TestFirstError(t *testing.T) {
 		t.Fatalf("err=%v, want lowest-index error", err)
 	}
 }
-
-func TestDo(t *testing.T) {
-	var a, b atomic.Bool
-	err := Do([]func() error{
-		func() error { a.Store(true); return nil },
-		func() error { b.Store(true); return nil },
-	})
-	if err != nil || !a.Load() || !b.Load() {
-		t.Fatalf("a=%v b=%v err=%v", a.Load(), b.Load(), err)
-	}
-	want := errors.New("second")
-	err = Do([]func() error{
-		func() error { return nil },
-		func() error { return want },
-	}, Workers(2))
-	if !errors.Is(err, want) {
-		t.Fatalf("err=%v", err)
-	}
-}

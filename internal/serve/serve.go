@@ -111,8 +111,8 @@ func Translate(ctx context.Context, w io.Writer, req TranslateRequest, rec *obs.
 	// Each tool's flow traces into a private child recorder on its own
 	// virtual clock; the children merge in tool order, so the trace is
 	// byte-identical at every worker count.
-	results, err := backplane.RunFlowsObserved(gen, tools, 5, req.RoundTrip, rec,
-		par.Workers(req.Jobs), par.Cache(cache))
+	results, err := backplane.RunFlowsObserved(gen, tools, 5, req.RoundTrip, rec, cache,
+		par.Workers(req.Jobs))
 	if err != nil && !req.RoundTrip {
 		return err
 	}

@@ -211,6 +211,10 @@ func (s *Server) Requests() []RequestLog {
 	return append([]RequestLog(nil), s.log...)
 }
 
+// maxBodyBytes bounds one /v1 request body, which holds a few scalar
+// fields and, for /v1/check, a list of paths. A larger body gets 413.
+const maxBodyBytes = 1 << 20
+
 // deadlined is implemented by every request struct: the per-request
 // deadline in milliseconds (0 = the server's deadline), which may only
 // shorten the server's deadline.
@@ -228,9 +232,15 @@ func post[R deadlined](s *Server, ep string, run func(context.Context, *bytes.Bu
 		s.count(ep, "requests")
 		var req R
 		if r.ContentLength != 0 {
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-				http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-				s.finishReq(ep, http.StatusBadRequest)
+			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+				status, msg := http.StatusBadRequest, "bad request: "+err.Error()
+				var tooLarge *http.MaxBytesError
+				if errors.As(err, &tooLarge) {
+					status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes)
+					s.count(ep, "oversize")
+				}
+				http.Error(w, msg, status)
+				s.finishReq(ep, status)
 				return
 			}
 		}
@@ -310,7 +320,7 @@ func requestDeadline(overrideMS int64, def time.Duration) time.Duration {
 }
 
 // count bumps the endpoint-scoped and server-global counters for one
-// outcome kind (requests, served, shed, timeout, errors).
+// outcome kind (requests, served, shed, timeout, errors, oversize).
 func (s *Server) count(ep, kind string) {
 	s.reg.Counter("serve." + kind).Inc()
 	s.reg.Counter("serve." + ep + "." + kind).Inc()

@@ -398,6 +398,36 @@ func TestBadMethodAndBadJSON(t *testing.T) {
 	}
 }
 
+// TestOversizeBodyRefused: a body over maxBodyBytes is answered 413,
+// counted and logged like the other refusals, and the server keeps
+// serving.
+func TestOversizeBodyRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	big := `{"files":["` + strings.Repeat("a", maxBodyBytes) + `"]}`
+	if status, _, raw := postJSON(t, ts.URL+"/v1/check", big); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, body %q", status, raw)
+	}
+	if status, resp, raw := postJSON(t, ts.URL+"/v1/flow", `{"blocks":1}`); status != http.StatusOK || resp.Exit != 0 {
+		t.Fatalf("request after the refusal: status %d, body %s", status, raw)
+	}
+	reg := s.Metrics()
+	if got := reg.Counter("serve.check.oversize").Value(); got != 1 {
+		t.Errorf("serve.check.oversize = %d, want 1", got)
+	}
+	r, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	log, _ := io.ReadAll(r.Body)
+	if string(log) != "1 check 413\n2 flow 200\n" {
+		t.Errorf("request log %q, want the refusal and the flow", log)
+	}
+	if got, lines := reg.Counter("serve.requests").Value(), strings.Count(string(log), "\n"); got != int64(lines) {
+		t.Errorf("serve.requests = %d, but /debug/requests lists %d", got, lines)
+	}
+}
+
 // TestFlowNegativeBlocks: a negative block count is a request error, not
 // a handler panic. A panicking handler skipped finishReq after the
 // request was counted, so the counters and the request log disagreed.

@@ -1,10 +1,6 @@
 package workgen
 
-import (
-	"cadinterop/internal/floorplan"
-	"cadinterop/internal/par"
-	"cadinterop/internal/phys"
-)
+import "cadinterop/internal/par"
 
 // This file fans workload generation out across workers. Every generator
 // in the package is a pure function of its options, so per-index
@@ -19,35 +15,4 @@ func CombModules(name string, n int, opt func(i int) HDLOptions, popts ...par.Op
 		return CombModule(name, opt(i)), nil
 	}, popts...)
 	return out
-}
-
-// Schematics generates one migration workload per option set.
-func Schematics(opts []SchematicOptions, popts ...par.Option) []*SchematicWorkload {
-	out, _ := par.Map(len(opts), func(i int) (*SchematicWorkload, error) {
-		return Schematic(opts[i]), nil
-	}, popts...)
-	return out
-}
-
-// PhysDesigns generates one physical design and floorplan per option set.
-// On error the lowest-index failure is reported, as a sequential loop
-// would have done.
-func PhysDesigns(opts []PhysOptions, popts ...par.Option) ([]*phys.Design, []*floorplan.Floorplan, error) {
-	type pair struct {
-		d  *phys.Design
-		fp *floorplan.Floorplan
-	}
-	pairs, err := par.Map(len(opts), func(i int) (pair, error) {
-		d, fp, err := PhysDesign(opts[i])
-		return pair{d, fp}, err
-	}, popts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	ds := make([]*phys.Design, len(pairs))
-	fps := make([]*floorplan.Floorplan, len(pairs))
-	for i, p := range pairs {
-		ds[i], fps[i] = p.d, p.fp
-	}
-	return ds, fps, nil
 }

@@ -29,53 +29,3 @@ func TestCombModulesEquivalence(t *testing.T) {
 		}
 	}
 }
-
-// TestSchematicsEquivalence: parallel sheet generation is per-index
-// deterministic.
-func TestSchematicsEquivalence(t *testing.T) {
-	opts := []SchematicOptions{
-		{Instances: 30, Pages: 1, Seed: 42},
-		{Instances: 60, Pages: 2, Seed: 7},
-		{Instances: 90, Pages: 3, Seed: 42},
-	}
-	ref := Schematics(opts, par.Workers(1))
-	got := Schematics(opts, par.Workers(4))
-	if len(ref) != len(opts) || len(got) != len(opts) {
-		t.Fatalf("lens: %d %d", len(ref), len(got))
-	}
-	for i := range ref {
-		if !reflect.DeepEqual(ref[i].Design, got[i].Design) {
-			t.Errorf("workload %d design diverges across worker counts", i)
-		}
-		if !reflect.DeepEqual(ref[i].Maps, got[i].Maps) {
-			t.Errorf("workload %d symbol maps diverge across worker counts", i)
-		}
-	}
-}
-
-// TestPhysDesignsEquivalence: parallel design generation is per-index
-// deterministic, floorplans included.
-func TestPhysDesignsEquivalence(t *testing.T) {
-	opts := []PhysOptions{
-		{Cells: 16, Seed: 3},
-		{Cells: 24, Seed: 11, CriticalNets: 3, Keepouts: 1},
-		{Cells: 32, Seed: 5, CriticalNets: 2},
-		{Cells: 40, Seed: 13},
-	}
-	refD, refF, err := PhysDesigns(opts, par.Workers(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotD, gotF, err := PhysDesigns(opts, par.Workers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range opts {
-		if !reflect.DeepEqual(refF[i], gotF[i]) {
-			t.Errorf("floorplan %d diverges across worker counts", i)
-		}
-		if !reflect.DeepEqual(refD[i].Nets, gotD[i].Nets) {
-			t.Errorf("design %d netlist diverges across worker counts", i)
-		}
-	}
-}

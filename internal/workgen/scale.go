@@ -2,11 +2,10 @@ package workgen
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 
+	"cadinterop/internal/frame"
 	"cadinterop/internal/netlist"
 )
 
@@ -148,15 +147,13 @@ func ScaleNetlist(opts ScaleOptions) *netlist.Netlist {
 // ScaleExchange streams the scale design's interchange text to w: hints
 // record, body in canonical (sorted) order, sha256 integrity trailer.
 // Memory stays bounded by one write buffer regardless of opts.Nets; the
-// checksum is accumulated as the body streams past instead of buffering
-// the file the way exchange.Write must for arbitrary netlists.
+// checksum is accumulated as the body streams past (internal/frame).
 func ScaleExchange(w io.Writer, opts ScaleOptions) (ScaleInfo, error) {
 	info := scaleCount(opts)
 	n := info.Nets
 
-	h := sha256.New()
-	cw := &countWriter{w: io.MultiWriter(h, w)}
-	bw := bufio.NewWriterSize(cw, 1<<16)
+	fw := frame.NewWriter(w)
+	bw := bufio.NewWriterSize(fw, 1<<16)
 
 	fmt.Fprintf(bw, "(edif top\n")
 	fmt.Fprintf(bw, "  (hints (cells %d) (ports %d) (nets %d) (insts %d) (conns %d) (attrs %d))\n",
@@ -193,22 +190,8 @@ func ScaleExchange(w io.Writer, opts ScaleOptions) (ScaleInfo, error) {
 		return info, err
 	}
 
-	// The trailer checksums the body, so it bypasses the hashing tee.
-	trailer := fmt.Sprintf("; integrity sha256:%s cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d\n",
-		hex.EncodeToString(h.Sum(nil)), info.Cells, info.Ports, info.Nets, info.Insts, info.Conns, info.Attrs)
-	m, err := io.WriteString(w, trailer)
-	info.Bytes = cw.n + int64(m)
+	var err error
+	info.Bytes, err = fw.Seal("integrity", fmt.Sprintf("cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d",
+		info.Cells, info.Ports, info.Nets, info.Insts, info.Conns, info.Attrs))
 	return info, err
-}
-
-// countWriter counts bytes on their way through.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	m, err := c.w.Write(p)
-	c.n += int64(m)
-	return m, err
 }

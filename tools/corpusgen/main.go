@@ -1,9 +1,11 @@
 // Command corpusgen regenerates the committed fuzz seed corpora under each
-// parser package's testdata/fuzz/FuzzParse/ directory. Seeds are a mix of
-// handwritten pathological inputs, rich valid sources produced by the
-// writers, and the discovery harness's promoted minimized reproducers
-// (internal/discover/testdata/corpus), so `go test -fuzz` starts from both
-// shores of the input space plus every known-interesting boundary case.
+// parser package's testdata/fuzz/FuzzParse/ directory, the journal's and
+// the integrity frame's. Seeds are a mix of handwritten pathological
+// inputs, rich valid sources produced by the writers, stored files from
+// the golden corpus (testdata/golden/disk), and the discovery harness's
+// promoted minimized reproducers (internal/discover/testdata/corpus), so
+// `go test -fuzz` starts from both shores of the input space plus every
+// known-interesting boundary case.
 // Run from the repository root: go run ./tools/corpusgen
 package main
 
@@ -296,6 +298,17 @@ func run() error {
 	}
 	for i, s := range jSeeds {
 		if err := write("internal/journal/testdata/fuzz/FuzzJournalReplay", i+1, s, false); err != nil {
+			return err
+		}
+	}
+
+	// frame seeds: stored files from the golden corpus.
+	for i, name := range []string{"memo/54479b1690f2e713d04cca0c985934f002f42bc626e72a3e6a4531328e383204", "requests.wal", "scale40-seed7-hints.edf"} {
+		data, err := os.ReadFile(filepath.Join("testdata/golden/disk", name))
+		if err != nil {
+			return err
+		}
+		if err := write("internal/frame/testdata/fuzz/FuzzFrame", i+1, string(data), false); err != nil {
 			return err
 		}
 	}
