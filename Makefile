@@ -58,9 +58,10 @@ race:
 # the router's and the sim kernel's steady-state hot paths at ~zero
 # allocations (DESIGN.md §5c), the memo cache's hit path, and the
 # s-expression reader's arena: allocations per net of an in-memory
-# exchange read (ReadBytes), and the cost of a short a/L parse.
+# exchange read (ReadBytes), allocations of a cd read the size of a migrate
+# cache hit, and the cost of a short a/L parse.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/al ./internal/exchange
+	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/al ./internal/exchange ./internal/schematic/cd
 
 # Coverage gate (see COVER_MIN / COVER_OBS_MIN above). One merged profile
 # over every package, then the same profile filtered to internal/obs —
@@ -84,10 +85,13 @@ cover:
 # deterministic prefix/mutation sweeps cover the same contract there.
 # -fuzz 'Fuzz' matches the single target in each package (FuzzParse in
 # the parsers, FuzzJournalReplay in journal, FuzzFrame in frame).
+# -fuzzminimizetime 1s caps the minimization of each new interesting
+# input: at Go's 60 s default, minimizing the first one used up the whole
+# FUZZTIME of the slower targets, which then ran a few dozen inputs.
 fuzz:
 	@for pkg in $(FUZZ_PKGS); do \
 		echo "fuzz $$pkg"; \
-		$(GO) test -run '^$$' -fuzz 'Fuzz' -fuzztime $(FUZZTIME) -parallel 1 $$pkg || exit 1; \
+		$(GO) test -run '^$$' -fuzz 'Fuzz' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s -parallel 1 $$pkg || exit 1; \
 	done
 
 bench:

@@ -33,10 +33,17 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // cmd/experiments prints for that experiment,
 // bplane/cells<N>-seed<S>-<mode>.txt is what cmd/bplane and
 // /v1/translate print for that run, and schemig/gen<N>-seed<S>.txt is
-// what `schemig -gen N -seed S -v` prints, each followed by the returned
-// error, if any. disk/ holds stored bytes: interchange files, a cache
-// entry and two journals (golden_disk_test.go).
+// what `schemig -gen N -seed S -v` prints, and check/<mode>.txt is what
+// `interop -check` prints in that mode over every file under checkDir,
+// each followed by the returned error, if any. disk/ holds stored bytes:
+// interchange files, a cache entry and two journals (golden_disk_test.go).
 const goldenDir = "testdata/golden"
+
+// checkDir holds the inputs of the check cases: clean and damaged .edf
+// and .cd files, a .vl and an .al. They sit outside goldenDir, which
+// -update rewrites wholesale, and are named by relative paths so every
+// rendered path:line:col is the same on every checkout.
+const checkDir = "testdata/check"
 
 // goldenBplaneModes are the bplane flag sets each (cells, seed) pair runs
 // under: none, -loss and -roundtrip.
@@ -87,6 +94,22 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 			}
 			out[file] = miss
 		}
+	}
+	checks, err := filepath.Glob(filepath.Join(checkDir, "*"))
+	if err != nil || len(checks) == 0 {
+		t.Fatalf("no check inputs under %s: %v", checkDir, err)
+	}
+	for _, lenient := range []bool{false, true} {
+		var buf bytes.Buffer
+		req := serve.CheckRequest{Files: checks, Lenient: lenient, Jobs: jobs}
+		if err := serve.Check(context.Background(), &buf, req, nil); err != nil {
+			fmt.Fprintf(&buf, "error: %v\n", err)
+		}
+		mode := "strict"
+		if lenient {
+			mode = "lenient"
+		}
+		out[filepath.Join("check", mode+".txt")] = buf.String()
 	}
 	renderDisk(t, out)
 	return out

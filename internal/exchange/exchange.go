@@ -277,28 +277,10 @@ func ReadBytes(data []byte, opts ReadOptions) (*netlist.Netlist, []diag.Diagnost
 }
 
 // exReader holds what the record handlers share: the diagnostic
-// collector, and the scanner whose window resolves offsets to positions.
+// collector, and the walker that resolves their positions.
 type exReader struct {
 	col *diag.Collector
-	sc  *al.Scanner
-}
-
-// pos upgrades a parse-tree node to a line/column position.
-func (rd *exReader) pos(pt *al.PosTree) diag.Pos {
-	return rd.posAt(pt.Offset())
-}
-
-// posAt upgrades a byte offset to a line/column position. An offset
-// already compacted out of the scanner's window degrades to offset-only
-// rather than costing the memory bound.
-func (rd *exReader) posAt(off int) diag.Pos {
-	if off < 0 {
-		return diag.NoPos
-	}
-	if line, col, ok := rd.sc.LineColAt(off); ok {
-		return diag.Pos{Offset: off, Line: line, Col: col}
-	}
-	return diag.Pos{Offset: off}
+	w   *al.Walker
 }
 
 // reconcile enforces referential integrity on the parsed netlist: an
@@ -455,7 +437,7 @@ func (rd *exReader) integrityErr(pos diag.Pos, format string, args ...any) error
 func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree) error {
 	il, ok := item.(al.List)
 	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", item.Repr())
+		return rd.col.Errorf("record", rd.w.Pos(it), "bad cell item %s", item.Repr())
 	}
 	head, _ := il[0].(al.Symbol)
 	switch head {
@@ -464,7 +446,7 @@ func (rd *exReader) readCellItem(c *netlist.Cell, item al.Value, it *al.PosTree)
 	case "primitive":
 		c.Primitive = true
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", head)
+		return rd.col.Errorf("record", rd.w.Pos(it), "unknown cell item %q", head)
 	}
 	return nil
 }
@@ -474,7 +456,7 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree) e
 		pt := it.Kid(j + 1)
 		pl, ok := pi.(al.List)
 		if !ok || len(pl) != 3 || !isSym(pl[0], "port") {
-			if err := rd.col.Errorf("record", rd.pos(pt), "bad port %s", pi.Repr()); err != nil {
+			if err := rd.col.Errorf("record", rd.w.Pos(pt), "bad port %s", pi.Repr()); err != nil {
 				return err
 			}
 			continue
@@ -482,20 +464,20 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree) e
 		pname, err1 := symStr(pl[1])
 		dname, err2 := symStr(pl[2])
 		if err1 != nil || err2 != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt), "port fields"); err != nil {
+			if err := rd.col.Errorf("record", rd.w.Pos(pt), "port fields"); err != nil {
 				return err
 			}
 			continue
 		}
 		dir, err := netlist.ParsePortDir(dname)
 		if err != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt.Kid(2)), "%v", err); err != nil {
+			if err := rd.col.Errorf("record", rd.w.Pos(pt.Kid(2)), "%v", err); err != nil {
 				return err
 			}
 			continue
 		}
 		if err := c.AddPort(pname, dir); err != nil {
-			if err := rd.col.Errorf("record", rd.pos(pt), "%v", err); err != nil {
+			if err := rd.col.Errorf("record", rd.w.Pos(pt), "%v", err); err != nil {
 				return err
 			}
 		}
@@ -509,17 +491,17 @@ func (rd *exReader) readInterface(c *netlist.Cell, il al.List, it *al.PosTree) e
 func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosTree) error {
 	il, ok := item.(al.List)
 	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad contents item")
+		return rd.col.Errorf("record", rd.w.Pos(it), "bad contents item")
 	}
 	head, _ := il[0].(al.Symbol)
 	switch head {
 	case "net":
 		if len(il) < 2 {
-			return rd.col.Errorf("record", rd.pos(it), "net needs a name")
+			return rd.col.Errorf("record", rd.w.Pos(it), "net needs a name")
 		}
 		name, err := symStr(il[1])
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it.Kid(1)), "net name: %v", err)
+			return rd.col.Errorf("record", rd.w.Pos(it.Kid(1)), "net name: %v", err)
 		}
 		nt := c.EnsureNet(name)
 		for _, sub := range il[2:] {
@@ -539,18 +521,18 @@ func (rd *exReader) readContentsItem(c *netlist.Cell, item al.Value, it *al.PosT
 	case "instance":
 		return rd.readInstance(c, il, it)
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown contents item %q", head)
+		return rd.col.Errorf("record", rd.w.Pos(it), "unknown contents item %q", head)
 	}
 	return nil
 }
 
 func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree) error {
 	if len(il) < 2 {
-		return rd.col.Errorf("record", rd.pos(it), "instance needs a name")
+		return rd.col.Errorf("record", rd.w.Pos(it), "instance needs a name")
 	}
 	name, err := symStr(il[1])
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(it.Kid(1)), "instance name: %v", err)
+		return rd.col.Errorf("record", rd.w.Pos(it.Kid(1)), "instance name: %v", err)
 	}
 	var inst *netlist.Instance
 	for j, sub := range il[2:] {
@@ -563,21 +545,21 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree) er
 		case isSym(sl[0], "of") && len(sl) == 2:
 			m, err := symStr(sl[1])
 			if err != nil {
-				return rd.col.Errorf("record", rd.pos(st.Kid(1)), "master: %v", err)
+				return rd.col.Errorf("record", rd.w.Pos(st.Kid(1)), "master: %v", err)
 			}
 			inst, err = c.AddInstance(name, m)
 			if err != nil {
-				return rd.col.Errorf("record", rd.pos(st), "%v", err)
+				return rd.col.Errorf("record", rd.w.Pos(st), "%v", err)
 			}
 		case isSym(sl[0], "joined"):
 			if inst == nil {
-				return rd.col.Errorf("record", rd.pos(st), "joined before of")
+				return rd.col.Errorf("record", rd.w.Pos(st), "joined before of")
 			}
 			for k, ji := range sl[1:] {
 				jt := st.Kid(k + 1)
 				jl, ok := ji.(al.List)
 				if !ok || len(jl) != 2 {
-					if err := rd.col.Errorf("record", rd.pos(jt), "bad joined pair %s", ji.Repr()); err != nil {
+					if err := rd.col.Errorf("record", rd.w.Pos(jt), "bad joined pair %s", ji.Repr()); err != nil {
 						return err
 					}
 					continue
@@ -585,20 +567,20 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree) er
 				port, err1 := symStr(jl[0])
 				net, err2 := symStr(jl[1])
 				if err1 != nil || err2 != nil {
-					if err := rd.col.Errorf("record", rd.pos(jt), "joined fields"); err != nil {
+					if err := rd.col.Errorf("record", rd.w.Pos(jt), "joined fields"); err != nil {
 						return err
 					}
 					continue
 				}
 				if err := c.Connect(name, port, net); err != nil {
-					if err := rd.col.Errorf("record", rd.pos(jt), "%v", err); err != nil {
+					if err := rd.col.Errorf("record", rd.w.Pos(jt), "%v", err); err != nil {
 						return err
 					}
 				}
 			}
 		case isSym(sl[0], "property") && len(sl) == 3:
 			if inst == nil {
-				return rd.col.Errorf("record", rd.pos(st), "property before of")
+				return rd.col.Errorf("record", rd.w.Pos(st), "property before of")
 			}
 			k, _ := symStr(sl[1])
 			v, _ := symStr(sl[2])
@@ -606,7 +588,7 @@ func (rd *exReader) readInstance(c *netlist.Cell, il al.List, it *al.PosTree) er
 		}
 	}
 	if inst == nil {
-		return rd.col.Errorf("record", rd.pos(it), "instance %q missing (of ...)", name)
+		return rd.col.Errorf("record", rd.w.Pos(it), "instance %q missing (of ...)", name)
 	}
 	return nil
 }

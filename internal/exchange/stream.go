@@ -1,23 +1,18 @@
-// The interchange reader.
+// The interchange reader. ReadStream is the package's one reader; Read
+// and ReadBytes wrap it. An al.Walker drives it, under the walker's
+// broken-input contract; this file holds the grammar and the end-of-input
+// work. Lists marked * stream, every other item is one record:
 //
-// ReadStream is the package's one reader; Read and ReadBytes wrap it. It
-// never materializes the input: records — (net ...), (instance ...),
-// (interface ...) and the small toplevel forms — are parsed one at a time
-// from an al.Scanner window and the consumed bytes discarded at each
-// record boundary, so peak memory is bounded by one record plus one read
-// chunk regardless of design size. The integrity trailer is verified in
-// the same pass by a hashing tee that holds back a small tail, and
-// (hints ...) counts pre-size the netlist tables before the records
-// arrive.
+//	(edif name item...)*   (cell ...), (rename alias "orig"), (design top), (hints ...)
+//	(cell name item...)*   (interface (port name dir)...), (primitive), (contents ...)
+//	(contents record...)*  (net name ...), (instance name (of master) (joined ...) ...)
 //
-// The contract on broken input: a strict read stops at the first fault in
-// document order, though a failed integrity trailer outranks that fault as
-// the returned error; a lenient read quarantines each damaged record —
-// lexically broken ones included — and salvages every other record. The
-// trailer-status diagnostic always comes first, a lenient read lists bad
-// renames ahead of the other record diagnostics, a collision between
-// restored names carries no position, and al.MaxDepth bounds nesting
-// within each record rather than from the top of the file.
+// A hashing tee verifies the integrity trailer in the same pass; it
+// outranks the first fault as a strict read's error, and its status
+// diagnostic always comes first. (hints ...) counts pre-size the netlist
+// tables before the records arrive. A lenient read lists bad renames
+// ahead of the other record diagnostics, and a collision between restored
+// names carries no position.
 package exchange
 
 import (
@@ -34,35 +29,24 @@ import (
 	"cadinterop/internal/netlist"
 )
 
-// StreamStats reports the memory discipline a streaming parse achieved.
-type StreamStats struct {
-	// MaxWindow is the peak parse-window size in bytes — the streaming
-	// reader's working-set bound, typically one record plus one read chunk.
-	MaxWindow int
-	// InputBytes is the total input length.
-	InputBytes int64
-}
-
 // ReadStream parses an interchange file under the given policy, in
-// bounded memory (see the comment at the top of this file). The
-// diagnostics slice is returned in both outcomes; in lenient mode a
-// non-nil netlist with error diagnostics means "partial design — these
-// records were quarantined".
+// bounded memory. The diagnostics slice is returned in both outcomes; in
+// lenient mode a non-nil netlist with error diagnostics means "partial
+// design — these records were quarantined".
 func ReadStream(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, error) {
 	nl, diags, _, err := ReadStreamStats(r, opts)
 	return nl, diags, err
 }
 
 // ReadStreamStats is ReadStream, additionally reporting streaming stats.
-func ReadStreamStats(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, StreamStats, error) {
+func ReadStreamStats(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Diagnostic, al.StreamStats, error) {
 	col := diag.New(opts.Mode, opts.Source, ErrFormat)
 	tee := newTrailerTee(r)
-	sc := al.NewScanner(tee)
-	rd := &exReader{col: col, sc: sc}
-	st := &stream{rd: rd, sc: sc, tee: tee, renames: make(map[string]string), bodyStart: -1}
+	w := al.NewWalker(tee, col)
+	st := &stream{exReader: &exReader{col: col, w: w}, tee: tee, renames: make(map[string]string), bodyStart: -1}
 	nl, err := st.run(opts.RequireTrailer)
-	stats := StreamStats{MaxWindow: sc.MaxWindow(), InputBytes: tee.total}
-	if rerr := sc.Err(); rerr != nil {
+	stats := w.Stats()
+	if rerr := w.Err(); rerr != nil {
 		// An input error outranks whatever partial parse came out of the
 		// truncated data.
 		return nil, col.Diags, stats, rerr
@@ -83,106 +67,35 @@ func ReadStreamStats(r io.Reader, opts ReadOptions) (*netlist.Netlist, []diag.Di
 
 // stream is the state of one streaming parse.
 type stream struct {
-	rd  *exReader
-	sc  *al.Scanner
+	*exReader
 	tee *trailerTee
+	nl  *netlist.Netlist // built once the edif name is past
 
 	renames    map[string]string
 	badRenames []diag.Diagnostic // lenient-mode bad renames, spliced at bodyStart
 	bodyStart  int               // diag count when record processing began (-1 = never)
-	edifPos    diag.Pos          // position of the (edif ...) open, captured eagerly
-
-	missing    bool // first form parsed but is not a usable (edif ...) form
-	missingPos diag.Pos
 
 	netsHint, instsHint int // remaining (hints ...) counts for contents pre-sizing
 }
 
 func (st *stream) run(require bool) (*netlist.Netlist, error) {
-	rd, sc := st.rd, st.sc
-	nforms := 0
-	var nl *netlist.Netlist
-	for {
-		tok, off, err := sc.Peek()
-		if err != nil {
-			// Lexical error; the scanner only surfaces these at true end
-			// of input, so resynchronizing consumes the remainder.
-			if rd.col.Mode == diag.Strict {
-				return nil, st.abort(rd.col.Errorf("parse", diag.NoPos, "%v", err), require)
-			}
-			if aerr := rd.col.Errorf("parse", rd.posAt(off), "%s", err.Error()); aerr != nil {
-				return nil, st.abort(aerr, require)
-			}
-			sc.Resync()
-			continue
-		}
-		if tok == "" {
-			break
-		}
-		if tok == ")" {
-			// Stray toplevel close paren: diagnosed, consumed and not
-			// counted; the form after it is read as usual.
-			perr := fmt.Errorf("%w: offset %d: unexpected )", al.ErrParse, off)
-			if rd.col.Mode == diag.Strict {
-				return nil, st.abort(rd.col.Errorf("parse", diag.NoPos, "%v", perr), require)
-			}
-			if aerr := rd.col.Errorf("parse", rd.posAt(off), "%s", perr.Error()); aerr != nil {
-				return nil, st.abort(aerr, require)
-			}
-			sc.SkipForm()
-			sc.Compact()
-			continue
-		}
-		if nforms == 0 && tok == "(" {
-			if head, herr := sc.PeekInside(); herr == nil && head == "edif" {
-				nforms++
-				var aerr error
-				nl, aerr = st.walkEdif(off)
-				if aerr != nil {
-					return nil, st.abort(aerr, require)
-				}
-				sc.Compact()
-				continue
-			}
-		}
-		// Some other toplevel form: it only matters for the form count
-		// (and, if it is the first, for the missing-edif position).
-		pos := rd.posAt(off)
-		if _, _, err := sc.ReadForm(); err != nil {
-			if rd.col.Mode == diag.Strict {
-				return nil, st.abort(rd.col.Errorf("parse", diag.NoPos, "%v", err), require)
-			}
-			if aerr := rd.col.Errorf("parse", pos, "%s", err.Error()); aerr != nil {
-				return nil, st.abort(aerr, require)
-			}
-			sc.Resync()
-			sc.Compact()
-			continue
-		}
-		nforms++
-		if nforms == 1 {
-			st.missing = true
-			st.missingPos = pos
-		}
-		sc.Compact()
+	if err := st.w.Walk("edif", st.walkEdif); err != nil {
+		return nil, st.abort(err, require)
 	}
-
 	// End of input: splice in the deferred bad renames, resolve the
 	// trailer, then run the end-of-parse checks (renames, manifest,
 	// reconcile).
-	if rd.col.Mode == diag.Lenient && len(st.badRenames) > 0 {
+	if st.col.Mode == diag.Lenient && len(st.badRenames) > 0 {
 		st.splice()
 	}
 	ct, terr := st.resolveTrailer(require)
 	if terr != nil {
 		return nil, terr
 	}
-	if nforms != 1 {
-		return nil, rd.col.Errorf("parse", diag.NoPos, "expected one (edif ...) form, got %d", nforms)
+	if ok, err := st.w.OneForm(); !ok {
+		return nil, err
 	}
-	if st.missing {
-		return nil, rd.col.Errorf("parse", st.missingPos, "missing (edif ...) form")
-	}
+	nl := st.nl
 	if len(st.renames) > 0 && nl != nil {
 		restore := func(alias string) string {
 			if orig, ok := st.renames[alias]; ok {
@@ -192,7 +105,7 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 		}
 		var rerr error
 		nl, rerr = restoreNetlist(nl, restore, func(format string, args ...any) error {
-			return rd.col.Errorf("record", diag.NoPos, format, args...)
+			return st.col.Errorf("record", diag.NoPos, format, args...)
 		})
 		if rerr != nil {
 			return nil, rerr
@@ -201,7 +114,7 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 	if ct != nil && nl != nil {
 		got := countElems(nl)
 		if got != *ct {
-			if err := rd.integrityErr(diag.NoPos,
+			if err := st.integrityErr(diag.NoPos,
 				"element manifest mismatch: trailer says cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d, parsed cells=%d ports=%d nets=%d insts=%d conns=%d attrs=%d",
 				ct.cells, ct.ports, ct.nets, ct.insts, ct.conns, ct.attrs,
 				got.cells, got.ports, got.nets, got.insts, got.conns, got.attrs); err != nil {
@@ -210,82 +123,28 @@ func (st *stream) run(require bool) (*netlist.Netlist, error) {
 		}
 	}
 	if nl != nil {
-		if err := rd.reconcile(nl); err != nil {
+		if err := st.reconcile(nl); err != nil {
 			return nil, err
 		}
 	}
 	return nl, nil
 }
 
-// walkEdif streams through one (edif name item...) form. It returns the
-// netlist built so far; a non-nil error is an abort.
-func (st *stream) walkEdif(openOff int) (*netlist.Netlist, error) {
-	rd, sc := st.rd, st.sc
-	st.edifPos = rd.posAt(openOff)
-	sc.Next() // (
-	sc.Next() // edif
-	tok, _, err := sc.Peek()
-	if err != nil {
-		return nil, st.recordParseErr(openOff, err)
+// walkEdif walks the (edif name item...) form past its head.
+func (st *stream) walkEdif(open int) error {
+	if ok, err := st.w.Skip(open); !ok { // the edif name, never inspected
+		return err
 	}
-	switch tok {
-	case "":
-		return nil, st.unterminated(openOff)
-	case ")":
-		// (edif) — too short to be usable.
-		sc.Next()
-		st.missing = true
-		st.missingPos = st.edifPos
-		return nil, nil
-	}
-	if err := sc.SkipForm(); err != nil { // the edif name, never inspected
-		return nil, st.recordParseErr(openOff, err)
-	}
-	st.bodyStart = len(rd.col.Diags)
-	nl := netlist.New()
-	for {
-		tok, off, err := sc.Peek()
-		if err != nil {
-			return nl, st.recordParseErr(off, err)
-		}
-		switch tok {
-		case "":
-			return nl, st.unterminated(openOff)
-		case ")":
-			sc.Next()
-			return nl, nil
-		}
-		if tok == "(" {
-			if head, herr := sc.PeekInside(); herr == nil && head == "cell" {
-				if aerr := st.walkCell(nl, off); aerr != nil {
-					return nil, aerr
-				}
-				sc.Compact()
-				continue
-			}
-		}
-		v, pt, err := sc.ReadForm()
-		if err != nil {
-			if aerr := st.recordParseErr(off, err); aerr != nil {
-				return nil, aerr
-			}
-			sc.Compact()
-			continue
-		}
-		if aerr := st.topItem(nl, v, pt); aerr != nil {
-			return nil, aerr
-		}
-		sc.Compact()
-	}
+	st.bodyStart = len(st.col.Diags)
+	st.nl = netlist.New()
+	return st.w.Children(open, []al.Stream{{Head: "cell", Walk: st.walkCell}}, st.topItem)
 }
 
-// topItem dispatches one materialized toplevel item. Cells never arrive
-// here: the walker catches every (cell by token and streams it.
-func (st *stream) topItem(nl *netlist.Netlist, v al.Value, pt *al.PosTree) error {
-	rd := st.rd
+// topItem handles one toplevel item; cells stream and never arrive here.
+func (st *stream) topItem(v al.Value, pt *al.PosTree) error {
 	l, ok := v.(al.List)
 	if !ok || len(l) == 0 {
-		return rd.col.Errorf("record", rd.pos(pt), "unexpected item %s", v.Repr())
+		return st.col.Errorf("record", st.w.Pos(pt), "unexpected item %s", v.Repr())
 	}
 	head, _ := l[0].(al.Symbol)
 	switch head {
@@ -298,122 +157,57 @@ func (st *stream) topItem(nl *netlist.Netlist, v al.Value, pt *al.PosTree) error
 		alias, err1 := symStr(l[1])
 		orig, err2 := symStr(l[2])
 		if err1 != nil || err2 != nil {
-			if rd.col.Mode == diag.Strict {
-				return rd.col.Errorf("record", rd.pos(pt), "bad rename")
+			if st.col.Mode == diag.Strict {
+				return st.col.Errorf("record", st.w.Pos(pt), "bad rename")
 			}
 			// Deferred: bad renames are reported before any record
 			// diagnostic, so these are spliced in at end of input.
 			st.badRenames = append(st.badRenames, diag.Diagnostic{
-				Sev: diag.Error, Code: "record", Source: rd.col.Source,
-				Pos: rd.pos(pt), Msg: "bad rename",
+				Sev: diag.Error, Code: "record", Source: st.col.Source,
+				Pos: st.w.Pos(pt), Msg: "bad rename",
 			})
 			return nil
 		}
 		st.renames[alias] = orig
 	case "design":
 		if len(l) < 2 {
-			return rd.col.Errorf("record", rd.pos(pt), "design needs a name")
+			return st.col.Errorf("record", st.w.Pos(pt), "design needs a name")
 		}
 		name, err := symStr(l[1])
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(pt.Kid(1)), "design name: %v", err)
+			return st.col.Errorf("record", st.w.Pos(pt.Kid(1)), "design name: %v", err)
 		}
-		nl.Top = name
+		st.nl.Top = name
 	case "hints":
 		ct := hintCounts(l)
-		nl.Grow(ct.cells)
+		st.nl.Grow(ct.cells)
 		st.netsHint, st.instsHint = ct.nets, ct.insts
 	default:
-		return rd.col.Errorf("record", rd.pos(pt), "unknown form %q", head)
+		return st.col.Errorf("record", st.w.Pos(pt), "unknown form %q", head)
 	}
 	return nil
 }
 
-// walkCell streams through one (cell name item...) form.
-func (st *stream) walkCell(nl *netlist.Netlist, openOff int) error {
-	rd, sc := st.rd, st.sc
-	openPos := rd.posAt(openOff)
-	sc.Next() // (
-	sc.Next() // cell
-	tok, _, err := sc.Peek()
-	if err != nil {
-		return st.recordParseErr(openOff, err)
+// walkCell walks one (cell name item...) form past its head.
+func (st *stream) walkCell(open int) error {
+	var c *netlist.Cell
+	ok, err := st.w.Named(open, "cell", symStr, func(name string) (err error) {
+		c, err = st.nl.AddCell(name)
+		return err
+	})
+	if !ok {
+		return err
 	}
-	switch tok {
-	case "":
-		return st.unterminated(openOff)
-	case ")":
-		sc.Next()
-		return rd.col.Errorf("record", openPos, "cell needs a name")
-	}
-	nameV, namePT, err := sc.ReadForm()
-	if err != nil {
-		if aerr := st.recordParseErr(openOff, err); aerr != nil {
-			return aerr
-		}
-		sc.SkipToClose()
-		return nil
-	}
-	name, err := symStr(nameV)
-	if err != nil {
-		if aerr := rd.col.Errorf("record", rd.pos(namePT), "cell name: %v", err); aerr != nil {
-			return aerr
-		}
-		sc.SkipToClose()
-		return nil
-	}
-	c, err := nl.AddCell(name)
-	if err != nil {
-		if aerr := rd.col.Errorf("record", openPos, "%v", err); aerr != nil {
-			return aerr
-		}
-		sc.SkipToClose()
-		return nil
-	}
-	for {
-		tok, off, err := sc.Peek()
-		if err != nil {
-			return st.recordParseErr(off, err)
-		}
-		switch tok {
-		case "":
-			return st.unterminated(openOff)
-		case ")":
-			sc.Next()
-			return nil
-		}
-		if tok == "(" {
-			if head, herr := sc.PeekInside(); herr == nil && head == "contents" {
-				if aerr := st.walkContents(c, off); aerr != nil {
-					return aerr
-				}
-				sc.Compact()
-				continue
-			}
-		}
-		v, pt, err := sc.ReadForm()
-		if err != nil {
-			if aerr := st.recordParseErr(off, err); aerr != nil {
-				return aerr
-			}
-			sc.Compact()
-			continue
-		}
-		if aerr := rd.readCellItem(c, v, pt); aerr != nil {
-			return aerr
-		}
-		sc.Compact()
-	}
+	contents := func(open int) error { return st.walkContents(c, open) }
+	return st.w.Children(open, []al.Stream{{Head: "contents", Walk: contents}}, func(v al.Value, pt *al.PosTree) error {
+		return st.readCellItem(c, v, pt)
+	})
 }
 
-// walkContents streams through one (contents record...) form — the
-// unbounded part of a large design, and therefore the place where the
-// record-at-a-time discipline matters: each (net ...) / (instance ...)
-// is parsed, handled, and its bytes discarded before the next one.
-func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
-	rd, sc := st.rd, st.sc
-	sc.Next() // (
-	sc.Next() // contents
+// walkContents walks one (contents record...) form past its head — the
+// unbounded part of a large design: each (net ...) and (instance ...) is
+// parsed, handled, and its bytes discarded before the next one.
+func (st *stream) walkContents(c *netlist.Cell, open int) error {
 	if st.netsHint > 0 || st.instsHint > 0 {
 		// Size this cell's tables to whatever hinted capacity remains; the
 		// leftovers carry to later cells. Exact for the dominant
@@ -425,58 +219,9 @@ func (st *stream) walkContents(c *netlist.Cell, openOff int) error {
 			st.instsHint = max(0, st.instsHint-(len(c.Instances)-preInsts))
 		}()
 	}
-	for {
-		tok, off, err := sc.Peek()
-		if err != nil {
-			return st.recordParseErr(off, err)
-		}
-		switch tok {
-		case "":
-			return st.unterminated(openOff)
-		case ")":
-			sc.Next()
-			return nil
-		}
-		v, pt, err := sc.ReadForm()
-		if err != nil {
-			// Record-boundary recovery: the damaged record is skipped and
-			// everything after it is salvaged.
-			if aerr := st.recordParseErr(off, err); aerr != nil {
-				return aerr
-			}
-			sc.Compact()
-			continue
-		}
-		if aerr := rd.readContentsItem(c, v, pt); aerr != nil {
-			return aerr
-		}
-		sc.Compact()
-	}
-}
-
-// recordParseErr handles a parse error. Strict reports at NoPos and
-// aborts. Lenient reports at the record's start and resynchronizes the
-// scanner past the damaged record.
-func (st *stream) recordParseErr(off int, err error) error {
-	if st.rd.col.Mode == diag.Strict {
-		return st.rd.col.Errorf("parse", diag.NoPos, "%v", err)
-	}
-	if aerr := st.rd.col.Errorf("parse", st.rd.posAt(off), "%s", err.Error()); aerr != nil {
-		return aerr // diagnostic limit exceeded
-	}
-	st.sc.Resync()
-	return nil
-}
-
-// unterminated reports end of input inside an open form, with the message
-// al's whole-input parse gives for an unclosed list. The lenient position
-// is the toplevel form start.
-func (st *stream) unterminated(openOff int) error {
-	err := fmt.Errorf("%w: offset %d: unterminated list", al.ErrParse, openOff)
-	if st.rd.col.Mode == diag.Strict {
-		return st.rd.col.Errorf("parse", diag.NoPos, "%v", err)
-	}
-	return st.rd.col.Errorf("parse", st.edifPos, "%s", err.Error())
+	return st.w.Children(open, nil, func(v al.Value, pt *al.PosTree) error {
+		return st.readContentsItem(c, v, pt)
+	})
 }
 
 // abort finishes an abort mid-stream: the remaining input is drained so
@@ -484,7 +229,7 @@ func (st *stream) unterminated(openOff int) error {
 // diagnostic is placed first, where every report puts it. A trailer
 // integrity error outranks the body error.
 func (st *stream) abort(aerr error, require bool) error {
-	io.Copy(io.Discard, st.tee)
+	st.w.Drain()
 	if _, terr := st.resolveTrailer(require); terr != nil {
 		return terr
 	}
@@ -495,22 +240,21 @@ func (st *stream) abort(aerr error, require bool) error {
 // input and rotates its status diagnostic, if any, to the front of the
 // report.
 func (st *stream) resolveTrailer(require bool) (*elemCounts, error) {
-	rd := st.rd
 	line, pos, sum, ok := st.tee.resolve()
-	defer st.rotate(len(rd.col.Diags))
+	defer st.rotate(len(st.col.Diags))
 	fields, found, match := frame.Parse(line, "integrity", sum)
 	switch {
 	case (!ok || !found) && require:
-		return nil, rd.integrityErr(diag.NoPos, "required integrity trailer is absent")
+		return nil, st.integrityErr(diag.NoPos, "required integrity trailer is absent")
 	case !ok || !found:
-		rd.col.Infof("integrity", diag.NoPos, "integrity trailer absent; content not verified")
+		st.col.Infof("integrity", diag.NoPos, "integrity trailer absent; content not verified")
 		return nil, nil
 	case !match:
-		return nil, rd.integrityErr(pos, "content checksum mismatch: body does not match sha256 in trailer")
+		return nil, st.integrityErr(pos, "content checksum mismatch: body does not match sha256 in trailer")
 	}
 	ct, msg := manifestCounts(fields)
 	if msg != "" {
-		return nil, rd.integrityErr(pos, "%s", msg)
+		return nil, st.integrityErr(pos, "%s", msg)
 	}
 	return ct, nil
 }
@@ -518,7 +262,7 @@ func (st *stream) resolveTrailer(require bool) (*elemCounts, error) {
 // rotate moves a just-appended diagnostic (if one landed after pre) to
 // the front of the report.
 func (st *stream) rotate(pre int) {
-	d := st.rd.col.Diags
+	d := st.col.Diags
 	if len(d) <= pre || len(d) < 2 {
 		return
 	}
@@ -530,7 +274,7 @@ func (st *stream) rotate(pre int) {
 // splice inserts the deferred bad-rename diagnostics before the first
 // record diagnostic.
 func (st *stream) splice() {
-	d := st.rd.col.Diags
+	d := st.col.Diags
 	idx := st.bodyStart
 	if idx < 0 || idx > len(d) {
 		idx = len(d)
@@ -539,7 +283,7 @@ func (st *stream) splice() {
 	out = append(out, d[:idx]...)
 	out = append(out, st.badRenames...)
 	out = append(out, d[idx:]...)
-	st.rd.col.Diags = out
+	st.col.Diags = out
 }
 
 // restoreNetlist rebuilds nl with every identifier passed through
@@ -627,8 +371,7 @@ type trailerTee struct {
 	h        hash.Hash
 	hashed   int64  // bytes fed to h: input[0:hashed]
 	hashedNL int    // '\n' count in the hashed prefix
-	tail     []byte // input[hashed:total]
-	total    int64
+	tail     []byte // the input after the hashed prefix
 }
 
 func newTrailerTee(r io.Reader) *trailerTee {
@@ -640,7 +383,6 @@ func (t *trailerTee) Read(p []byte) (int, error) {
 	n, err := t.r.Read(p)
 	if n > 0 {
 		t.tail = append(t.tail, p[:n]...)
-		t.total += int64(n)
 		if over := len(t.tail) - teeHoldback; over > 0 {
 			for _, b := range t.tail[:over] {
 				if b == '\n' {

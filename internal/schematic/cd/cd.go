@@ -154,25 +154,12 @@ func ReadBytes(data []byte, opts ReadOptions) (*schematic.Design, []diag.Diagnos
 	return ReadStream(bytes.NewReader(data), opts)
 }
 
-// cdReader holds what the record handlers share: the diagnostic
-// collector, and the scanner whose window resolves offsets to positions.
+// cdReader is the state of one read: the diagnostic collector, the
+// walker that drives it and resolves positions, and the design built.
 type cdReader struct {
 	col *diag.Collector
-	sc  *al.Scanner
-}
-
-func (rd *cdReader) pos(pt *al.PosTree) diag.Pos {
-	return rd.posAt(pt.Offset())
-}
-
-func (rd *cdReader) posAt(off int) diag.Pos {
-	if off < 0 {
-		return diag.NoPos
-	}
-	if line, col, ok := rd.sc.LineColAt(off); ok {
-		return diag.Pos{Offset: off, Line: line, Col: col}
-	}
-	return diag.Pos{Offset: off}
+	w   *al.Walker
+	d   *schematic.Design // built once the design name is read
 }
 
 // readDesignItem handles one materialized direct child of the (design
@@ -181,7 +168,7 @@ func (rd *cdReader) posAt(off int) diag.Pos {
 func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.PosTree) error {
 	l, ok := item.(al.List)
 	if !ok || len(l) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "unexpected item %s", item.Repr())
+		return rd.col.Errorf("record", rd.w.Pos(it), "unexpected item %s", item.Repr())
 	}
 	head, _ := l[0].(al.Symbol)
 	switch head {
@@ -205,13 +192,13 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 			return nil
 		}()
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it), "%v", err)
+			return rd.col.Errorf("record", rd.w.Pos(it), "%v", err)
 		}
 	case "globals":
 		for j, g := range l[1:] {
 			s, err := symOrStr(g)
 			if err != nil {
-				if aerr := rd.col.Errorf("record", rd.pos(it.Kid(j+1)), "global: %v", err); aerr != nil {
+				if aerr := rd.col.Errorf("record", rd.w.Pos(it.Kid(j+1)), "global: %v", err); aerr != nil {
 					return aerr
 				}
 				continue
@@ -219,7 +206,7 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 			d.Globals = append(d.Globals, s)
 		}
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown form %q", head)
+		return rd.col.Errorf("record", rd.w.Pos(it), "unknown form %q", head)
 	}
 	return nil
 }
@@ -228,10 +215,10 @@ func (rd *cdReader) readDesignItem(d *schematic.Design, item al.Value, it *al.Po
 func (rd *cdReader) readLibraryItem(lib *schematic.Library, item al.Value, it *al.PosTree) error {
 	sym, err := parseSymbol(item)
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(it), "%v", err)
+		return rd.col.Errorf("record", rd.w.Pos(it), "%v", err)
 	}
 	if err := lib.AddSymbol(sym); err != nil {
-		return rd.col.Errorf("record", rd.pos(it), "%v", err)
+		return rd.col.Errorf("record", rd.w.Pos(it), "%v", err)
 	}
 	return nil
 }
@@ -302,7 +289,7 @@ func parseSymbol(item al.Value) (*schematic.Symbol, error) {
 func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.PosTree) error {
 	cl, ok := item.(al.List)
 	if !ok || len(cl) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad cell item %s", item.Repr())
+		return rd.col.Errorf("record", rd.w.Pos(it), "bad cell item %s", item.Repr())
 	}
 	h, _ := cl[0].(al.Symbol)
 	switch h {
@@ -324,10 +311,10 @@ func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.Pos
 			return nil
 		}()
 		if err != nil {
-			return rd.col.Errorf("record", rd.pos(it), "%v", err)
+			return rd.col.Errorf("record", rd.w.Pos(it), "%v", err)
 		}
 	default:
-		return rd.col.Errorf("record", rd.pos(it), "unknown cell item %q", h)
+		return rd.col.Errorf("record", rd.w.Pos(it), "unknown cell item %q", h)
 	}
 	return nil
 }
@@ -336,7 +323,7 @@ func (rd *cdReader) readCellItem(cell *schematic.Cell, item al.Value, it *al.Pos
 func (rd *cdReader) readPageItem(pg *schematic.Page, item al.Value, it *al.PosTree) error {
 	il, ok := item.(al.List)
 	if !ok || len(il) == 0 {
-		return rd.col.Errorf("record", rd.pos(it), "bad page item %s", item.Repr())
+		return rd.col.Errorf("record", rd.w.Pos(it), "bad page item %s", item.Repr())
 	}
 	h, _ := il[0].(al.Symbol)
 	var err error
@@ -375,7 +362,7 @@ func (rd *cdReader) readPageItem(pg *schematic.Page, item al.Value, it *al.PosTr
 		err = fmt.Errorf("unknown page item %q", h)
 	}
 	if err != nil {
-		return rd.col.Errorf("record", rd.pos(it), "%v", err)
+		return rd.col.Errorf("record", rd.w.Pos(it), "%v", err)
 	}
 	return nil
 }

@@ -233,12 +233,12 @@ func post[R deadlined](s *Server, ep string, run func(context.Context, *bytes.Bu
 		var req R
 		if r.ContentLength != 0 {
 			if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
-				status, msg := http.StatusBadRequest, "bad request: "+err.Error()
+				status, msg, kind := http.StatusBadRequest, "bad request: "+err.Error(), "invalid"
 				var tooLarge *http.MaxBytesError
 				if errors.As(err, &tooLarge) {
-					status, msg = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes)
-					s.count(ep, "oversize")
+					status, msg, kind = http.StatusRequestEntityTooLarge, fmt.Sprintf("request body over %d bytes", maxBodyBytes), "oversize"
 				}
+				s.count(ep, kind)
 				http.Error(w, msg, status)
 				s.finishReq(ep, status)
 				return
@@ -320,7 +320,9 @@ func requestDeadline(overrideMS int64, def time.Duration) time.Duration {
 }
 
 // count bumps the endpoint-scoped and server-global counters for one
-// outcome kind (requests, served, shed, timeout, errors, oversize).
+// outcome kind (requests, served, shed, timeout, errors, oversize,
+// invalid). Every counted request ends in exactly one of served, shed,
+// timeout, oversize and invalid; errors is a subset of served.
 func (s *Server) count(ep, kind string) {
 	s.reg.Counter("serve." + kind).Inc()
 	s.reg.Counter("serve." + ep + "." + kind).Inc()

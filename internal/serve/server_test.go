@@ -381,8 +381,11 @@ func TestRequestDeadline(t *testing.T) {
 	}
 }
 
+// TestBadMethodAndBadJSON: a GET is refused with 405 before it is
+// counted; a body that does not decode gets 400 and is counted as
+// serve.invalid, so the counters still reconcile with the request log.
 func TestBadMethodAndBadJSON(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	resp, err := http.Get(ts.URL + "/v1/flow")
 	if err != nil {
 		t.Fatal(err)
@@ -395,6 +398,31 @@ func TestBadMethodAndBadJSON(t *testing.T) {
 	status, _, _ := postJSON(t, ts.URL+"/v1/flow", `{"blocks":`)
 	if status != http.StatusBadRequest {
 		t.Errorf("bad JSON: status %d", status)
+	}
+	if status, resp, raw := postJSON(t, ts.URL+"/v1/flow", `{"blocks":1}`); status != http.StatusOK || resp.Exit != 0 {
+		t.Fatalf("request after the bad body: status %d, body %s", status, raw)
+	}
+	reg := s.Metrics()
+	if got := reg.Counter("serve.flow.invalid").Value(); got != 1 {
+		t.Errorf("serve.flow.invalid = %d, want 1", got)
+	}
+	// Every counted request ends in exactly one outcome, and in one line
+	// of the request log.
+	var outcomes int64
+	for _, kind := range []string{"served", "shed", "timeout", "oversize", "invalid"} {
+		outcomes += reg.Counter("serve." + kind).Value()
+	}
+	if got := reg.Counter("serve.requests").Value(); got != outcomes {
+		t.Errorf("serve.requests = %d, but the outcome counters sum to %d", got, outcomes)
+	}
+	r, err := http.Get(ts.URL + "/debug/requests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	log, _ := io.ReadAll(r.Body)
+	if got, lines := reg.Counter("serve.requests").Value(), strings.Count(string(log), "\n"); got != int64(lines) {
+		t.Errorf("serve.requests = %d, but /debug/requests lists %d", got, lines)
 	}
 }
 
