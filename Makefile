@@ -56,12 +56,12 @@ race:
 
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
 # the router's and the sim kernel's steady-state hot paths at ~zero
-# allocations (DESIGN.md §5c), the memo cache's hit path, and the
-# s-expression reader's arena: allocations per net of an in-memory
-# exchange read (ReadBytes), allocations of a cd read the size of a migrate
-# cache hit, and the cost of a short a/L parse.
+# allocations (DESIGN.md §5c), the memo cache's disabled path, a
+# /v1/migrate cache hit (which parses no cd), and the s-expression reader's
+# arena: allocations per net of an in-memory exchange read (ReadBytes),
+# allocations of a 40 KB cd read, and the cost of a short a/L parse.
 allocs:
-	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/al ./internal/exchange ./internal/schematic/cd
+	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd
 
 # Coverage gate (see COVER_MIN / COVER_OBS_MIN above). One merged profile
 # over every package, then the same profile filtered to internal/obs —

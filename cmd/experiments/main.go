@@ -15,7 +15,6 @@ import (
 	"runtime/pprof"
 
 	"cadinterop/internal/experiments"
-	"cadinterop/internal/memo"
 	"cadinterop/internal/obs"
 	"cadinterop/internal/par"
 )
@@ -27,17 +26,15 @@ func main() {
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file")
 		traceFile  = flag.String("trace", "", "write the span trace to this file (.json = Chrome trace, .jsonl = JSON lines, else text tree)")
 		metrics    = flag.String("metrics", "", "write the metrics registry to this file as text")
-		useCache   = flag.Bool("cache", false, "memoize cacheable experiment work (E1 migrations) by content address (in memory)")
-		cacheDir   = flag.String("cache-dir", "", "persist the experiment cache under this directory so harness reruns skip unchanged work (implies -cache)")
 	)
 	flag.Parse()
-	if err := run(*jobs, *cpuprofile, *memprofile, *traceFile, *metrics, *useCache, *cacheDir, flag.Args()); err != nil {
+	if err := run(*jobs, *cpuprofile, *memprofile, *traceFile, *metrics, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
 }
 
-func run(jobs int, cpuprofile, memprofile, traceFile, metricsFile string, useCache bool, cacheDir string, ids []string) (err error) {
+func run(jobs int, cpuprofile, memprofile, traceFile, metricsFile string, ids []string) (err error) {
 	if cpuprofile != "" {
 		f, cerr := os.Create(cpuprofile)
 		if cerr != nil {
@@ -61,18 +58,7 @@ func run(jobs int, cpuprofile, memprofile, traceFile, metricsFile string, useCac
 	if traceFile != "" || metricsFile != "" {
 		rec = obs.New(nil)
 	}
-	// The cache registers its hit/miss counters in the -metrics registry
-	// when one is being written, so warm harness runs are auditable.
-	var cache *memo.Cache
-	if cacheDir != "" {
-		var cerr error
-		if cache, cerr = memo.NewDir(cacheDir, rec.Metrics()); cerr != nil {
-			return cerr
-		}
-	} else if useCache {
-		cache = memo.New(rec.Metrics())
-	}
-	reports, err := experiments.RunObserved(ids, rec, cache, par.Workers(jobs))
+	reports, err := experiments.RunObserved(ids, rec, par.Workers(jobs))
 	for _, r := range reports {
 		fmt.Println(r.String())
 	}

@@ -13,10 +13,10 @@ import (
 func TestProfileTargetErrorsPropagate(t *testing.T) {
 	dir := t.TempDir()
 	// A directory as the target file: os.Create fails immediately.
-	if err := run(1, dir, "", "", "", false, "", []string{"E1"}); err == nil {
+	if err := run(1, dir, "", "", "", []string{"E1"}); err == nil {
 		t.Error("cpuprofile pointing at a directory accepted")
 	}
-	if err := run(1, "", dir, "", "", false, "", []string{"E1"}); err == nil {
+	if err := run(1, "", dir, "", "", []string{"E1"}); err == nil {
 		t.Error("memprofile pointing at a directory accepted")
 	}
 	// A read-only directory: the create inside writeMemProfile fails and
@@ -37,7 +37,7 @@ func TestProfileFilesLand(t *testing.T) {
 	dir := t.TempDir()
 	cpu := filepath.Join(dir, "cpu.pb")
 	mem := filepath.Join(dir, "heap.pb")
-	if err := run(1, cpu, mem, "", "", false, "", []string{"E1"}); err != nil {
+	if err := run(1, cpu, mem, "", "", []string{"E1"}); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{cpu, mem} {
@@ -57,7 +57,7 @@ func TestProfileFilesLand(t *testing.T) {
 func TestBadExperimentStillWritesMetrics(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.txt")
-	if err := run(1, "", "", "", metrics, false, "", []string{"E999"}); err == nil {
+	if err := run(1, "", "", "", metrics, []string{"E999"}); err == nil {
 		t.Error("unknown experiment id accepted")
 	}
 	if _, err := os.Stat(metrics); err != nil {

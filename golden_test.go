@@ -80,7 +80,8 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 		}
 	}
 	// Each migration runs twice through one cache, so the file pins the
-	// cache's miss path (the put and its round-trip check) and its hit.
+	// cache's miss path (the render it stores) and its hit (the stored
+	// bytes written back).
 	for _, gen := range []int{10, 60, 150} {
 		for _, seed := range []int64{1, 42} {
 			file := filepath.Join("schemig", fmt.Sprintf("gen%d-seed%d.txt", gen, seed))

@@ -25,6 +25,12 @@ import (
 //     ones included: the parse error is reported at the record's start,
 //     the scanner resyncs past the record, and every other record is
 //     salvaged. An unterminated list is reported at the toplevel form.
+//   - A stray ")" costs one record only between records, where the walker
+//     sees it. Inside a record it ends the record early: the record
+//     parses short, and its own closing parens then close the lists
+//     around it, so the later records of those lists land a level up,
+//     where they are unknown forms, or past the toplevel form, where they
+//     count as extra forms. This is an open defect, not a contract.
 //   - A stray toplevel ")" is reported and skipped. A file must hold
 //     exactly one toplevel form; a bare (<head>), or a first form with
 //     another head, is reported as missing at that form.

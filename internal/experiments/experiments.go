@@ -15,7 +15,6 @@ import (
 	"cadinterop/internal/exchange"
 	"cadinterop/internal/floorplan"
 	"cadinterop/internal/hdl"
-	"cadinterop/internal/memo"
 	"cadinterop/internal/migrate"
 	"cadinterop/internal/naming"
 	"cadinterop/internal/netlist"
@@ -48,18 +47,14 @@ func (r *Report) addf(format string, args ...any) {
 // E1ComponentReplacement measures the Figure 1 operation at several design
 // sizes: how many net segments rip-up/reroute touches and how graphically
 // similar the result stays. Sizes are independent migrations, so they fan
-// out across workers; rows land in size order either way. A non-nil cache
-// memoizes each size's migration, so harness reruns with a persistent
-// cache answer E1 without re-migrating.
-func E1ComponentReplacement(sizes []int, cache *memo.Cache, opts ...par.Option) (*Report, error) {
+// out across workers; rows land in size order either way.
+func E1ComponentReplacement(sizes []int, opts ...par.Option) (*Report, error) {
 	r := &Report{ID: "E1", Title: "component replacement (Figure 1): rip-up fraction and graphical similarity"}
 	r.addf("%8s %10s %8s %8s %12s %8s", "insts", "segments", "ripped", "added", "similarity", "verify")
 	rows, err := par.Map(len(sizes), func(i int) (string, error) {
 		n := sizes[i]
 		w := workgen.Schematic(workgen.SchematicOptions{Instances: n, Pages: 1 + n/60, Seed: 42})
-		mo := w.MigrateOptions()
-		mo.Cache = cache
-		_, rep, err := migrate.Migrate(w.Design, mo)
+		_, rep, err := migrate.Migrate(w.Design, w.MigrateOptions())
 		if err != nil {
 			return "", err
 		}
@@ -625,10 +620,10 @@ type entry struct {
 // state), which is what lets the harness fan them out across workers. The
 // worker options thread down into the experiments that have internal
 // fan-outs of their own (E1, E2, E6, E9), so par.Workers(1) makes the
-// whole harness fully serial. cache reaches E1's migrations.
-func registry(cache *memo.Cache) []entry {
+// whole harness fully serial.
+func registry() []entry {
 	return []entry{
-		{"E1", "component replacement", func(o []par.Option) (*Report, error) { return E1ComponentReplacement([]int{50, 100, 200}, cache, o...) }},
+		{"E1", "component replacement", func(o []par.Option) (*Report, error) { return E1ComponentReplacement([]int{50, 100, 200}, o...) }},
 		{"E2", "migration rule ablation", func(o []par.Option) (*Report, error) { return E2MigrationAblation(100, o...) }},
 		{"E3", "scheduler divergence", func(o []par.Option) (*Report, error) { return E3SchedulerDivergence(4) }},
 		{"E4", "timing-check compatibility", func(o []par.Option) (*Report, error) { return E4TimingCompat(3) }},
@@ -666,7 +661,7 @@ func All(opts ...par.Option) ([]*Report, error) {
 // abort-on-error option while the report slice stays complete. Unknown
 // ids fail fast before anything runs.
 func Run(ids []string, opts ...par.Option) ([]*Report, error) {
-	return RunObserved(ids, nil, nil, opts...)
+	return RunObserved(ids, nil, opts...)
 }
 
 // RunObserved is Run with observability attached. Each experiment traces
@@ -675,10 +670,9 @@ func Run(ids []string, opts ...par.Option) ([]*Report, error) {
 // under one "experiments" span in registry order after the fan-out, so
 // the trace is byte-identical at every worker count. The harness worker
 // pool records its queue-depth and occupancy metrics into rec's
-// registry. A non-nil cache memoizes E1's migrations. With a nil rec and
-// a nil cache it is Run exactly.
-func RunObserved(ids []string, rec *obs.Recorder, cache *memo.Cache, opts ...par.Option) ([]*Report, error) {
-	all := registry(cache)
+// registry. With a nil rec it is Run exactly.
+func RunObserved(ids []string, rec *obs.Recorder, opts ...par.Option) ([]*Report, error) {
+	all := registry()
 	selected := all
 	if len(ids) > 0 {
 		byID := make(map[string]entry, len(all))

@@ -12,7 +12,7 @@ import (
 )
 
 func TestE1(t *testing.T) {
-	r, err := E1ComponentReplacement([]int{30, 60}, nil)
+	r, err := E1ComponentReplacement([]int{30, 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +435,7 @@ func TestE16(t *testing.T) {
 func TestRunObservedTraceDeterministic(t *testing.T) {
 	render := func(workers int) (string, []*Report) {
 		rec := obs.New(nil)
-		reports, err := RunObserved([]string{"E10", "E13", "E15"}, rec, nil, par.Workers(workers))
+		reports, err := RunObserved([]string{"E10", "E13", "E15"}, rec, par.Workers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,11 +8,11 @@ import (
 	"cadinterop/internal/schematic"
 )
 
-// Fingerprint canonicalizes the option fields that affect a migration's
-// output into a memo.FP stream. Excluded on purpose: Cache itself (the
-// cache must not key on its own presence). Order-sensitive slices —
-// Symbols (last map entry wins in symMaps), PropRules, Callbacks — hash in
-// declaration order; everything map-shaped hashes in sorted key order.
+// Fingerprint canonicalizes every option field into a memo.FP stream, so
+// a cached migration (internal/serve) is keyed by all that affects its
+// output. Order-sensitive slices — Symbols (last map entry wins in
+// symMaps), PropRules, Callbacks — hash in declaration order; everything
+// map-shaped hashes in sorted key order.
 func (o Options) Fingerprint() string {
 	f := memo.NewFP("migrate.Options/v1")
 	fpDialect(f, "from", o.From)

@@ -16,7 +16,6 @@ import (
 	"cadinterop/internal/al"
 	"cadinterop/internal/exchange"
 	"cadinterop/internal/geom"
-	"cadinterop/internal/memo"
 	"cadinterop/internal/netlist"
 	"cadinterop/internal/schematic"
 )
@@ -105,11 +104,6 @@ type Options struct {
 	// the migration if the interchange path would corrupt it.
 	VerifyRoundTrip bool
 
-	// Cache memoizes clean migrations by (source content, options
-	// fingerprint); see internal/memo. Nil disables caching. Excluded from
-	// Fingerprint — the cache must not key on its own presence.
-	Cache *memo.Cache
-
 	// Ablation switches for the E2 experiment: each disables one
 	// translation rule so its contribution to correctness is measurable.
 	DisableScaling    bool
@@ -155,36 +149,7 @@ type Report struct {
 }
 
 // Migrate translates src into the target dialect. src is not modified.
-//
-// With opts.Cache set, a migration whose source content and options
-// fingerprint match a prior clean run is answered from the cache without
-// re-running any stage; only clean results (no verification diffs) that
-// survive their own codec round trip are ever stored, so a warm hit is
-// byte-equivalent to the cold computation.
 func Migrate(src *schematic.Design, opts Options) (*schematic.Design, *Report, error) {
-	var key memo.Key
-	keyed := false
-	if opts.Cache != nil {
-		if k, ok := cacheKey(src, opts); ok {
-			key, keyed = k, true
-			if data, hit := opts.Cache.Get(key); hit {
-				if out, rep, ok := decodeMigration(data); ok {
-					return out, rep, nil
-				}
-			}
-		}
-	}
-	out, rep, err := migrate(src, opts)
-	if err == nil && keyed {
-		if enc, ok := cacheableResult(out, rep); ok {
-			opts.Cache.Put(key, enc)
-		}
-	}
-	return out, rep, err
-}
-
-// migrate is the uncached translation pipeline.
-func migrate(src *schematic.Design, opts Options) (*schematic.Design, *Report, error) {
 	rep := &Report{NetRenames: make(map[string]string)}
 	out := src.Clone()
 	out.Grid = opts.To.Grid

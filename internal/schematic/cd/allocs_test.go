@@ -16,11 +16,11 @@ import (
 	"cadinterop/internal/serve"
 )
 
-// TestReadBytesAllocs pins the allocations of the read a warm migrate
-// cache hit makes: the 40,024-byte design that a 100-instance migration
-// renders, read back in strict mode. It took 12,186 allocations (about
-// 122 per instance) on a 2-CPU machine when the bound was set, so one more
-// allocation per record fails it.
+// TestReadBytesAllocs pins the allocations of a strict in-memory cd read:
+// the 40,024-byte design that a 100-instance migration renders, read
+// back. It took 12,186 allocations (about 122 per instance) on a 2-CPU
+// machine when the bound was set, so one more allocation per record fails
+// it.
 func TestReadBytesAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	req := serve.MigrateRequest{Gen: 100, Seed: 42}
@@ -31,7 +31,7 @@ func TestReadBytesAllocs(t *testing.T) {
 	if len(data) != 40024 {
 		t.Fatalf("the migrated design is %d bytes, want 40024", len(data))
 	}
-	opts := cd.ReadOptions{Mode: diag.Strict, Source: "<migrate-cache>"}
+	opts := cd.ReadOptions{Mode: diag.Strict, Source: "<migrated>"}
 	avg := testing.AllocsPerRun(5, func() {
 		if _, _, err := cd.ReadBytes(data, opts); err != nil {
 			t.Fatal(err)

@@ -19,12 +19,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"cadinterop/internal/backplane"
@@ -199,8 +203,10 @@ func Check(ctx context.Context, w io.Writer, req CheckRequest, cache *memo.Cache
 
 // MigrateRequest migrates a schematic database from the vl dialect to
 // the cd dialect. With Gen > 0 the tool generates an N-instance
-// demonstration workload; otherwise In/Lib/Map name server-side files
-// (vl design, cd target libraries, symbol/property map). The report
+// demonstration workload; otherwise In/Lib/Map name local files (vl
+// design, cd target libraries, symbol/property map). Those three are
+// CLI-only: the daemon refuses them, because each names a server path
+// and a map's CALLBACK lines name more and run them as a/L. The report
 // renders to the report writer and the migrated cd design to the design
 // writer — stdout twice over in the CLI.
 type MigrateRequest struct {
@@ -225,10 +231,12 @@ func (r MigrateRequest) deadlineMS() int64 { return r.DeadlineMS }
 
 // Migrate runs one schematic migration, rendering the report to reportW
 // and the migrated design to designW (the CLI points both at stdout
-// unless -out redirects the design). cache (nil = off) memoizes clean
-// migrations by content address. A migration whose independent
-// verification finds diffs renders its full report and then returns the
-// diff count as an error, matching the CLI's non-zero exit.
+// unless -out redirects the design). cache (nil = off) stores the
+// rendered bytes of clean migrations by content address, so a hit
+// writes them again and runs and parses nothing. A migration whose
+// independent verification finds diffs renders its full report and then
+// returns the diff count as an error, matching the CLI's non-zero exit;
+// it is never stored.
 func Migrate(ctx context.Context, reportW, designW io.Writer, req MigrateRequest, cache *memo.Cache) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -271,38 +279,91 @@ func Migrate(ctx context.Context, reportW, designW io.Writer, req MigrateRequest
 			return err
 		}
 	}
-	opts.Cache = cache
-
+	var key memo.Key
+	if cache != nil {
+		key = migrateKey(design, opts)
+		if entry, hit := cache.Get(key); hit {
+			if ok, err := writeMigration(reportW, designW, entry); ok {
+				return err
+			}
+		}
+	}
 	out, rep, err := migrate.Migrate(design, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(reportW, "migrated %q: %d instances replaced, %d pins rerouted (%d ripped, %d added segments)\n",
-		design.Name, rep.ReplacedInstances, rep.ReroutedPins, rep.RippedSegments, rep.AddedSegments)
-	fmt.Fprintf(reportW, "bus renames: %d, global renames: %d, property changes: %d, callbacks: %d\n",
-		rep.BusRenames, rep.GlobalRenames, rep.PropChanges, rep.CallbackRuns)
-	fmt.Fprintf(reportW, "connectors added: %d, text adjusted: %d, geometric similarity: %.1f%%\n",
-		rep.ConnectorsAdded, rep.TextAdjusted, rep.GeometricSimilarity*100)
-	fmt.Fprintf(reportW, "verification: %s\n", netlist.Summary(rep.Verification))
-	if rep.StructuralMatch != nil {
-		if *rep.StructuralMatch {
-			fmt.Fprintln(reportW, "structural second opinion: tops match up to renaming (naming fallout only)")
-		} else {
-			fmt.Fprintln(reportW, "structural second opinion: connectivity damaged")
-		}
-	}
-	if req.Verbose {
-		for _, d := range rep.Verification {
-			fmt.Fprintln(reportW, "  ", d)
-		}
-	}
-	if err := cd.Write(designW, out); err != nil {
+	entry := renderMigration(design.Name, out, rep, req.Verbose)
+	if _, err := writeMigration(reportW, designW, entry); err != nil {
 		return err
 	}
 	if len(rep.Verification) != 0 {
 		return fmt.Errorf("verification found %d diffs", len(rep.Verification))
 	}
+	cache.Put(key, entry)
 	return nil
+}
+
+// migrateVersion names a cached migration: the memo key's tool and the
+// entry's header. Bump it whenever what Migrate prints changes, so an
+// entry stored by an older build is a miss, never a stale answer.
+const migrateVersion = "migrate/v2"
+
+// migrateKey is the content address of one migration: the sha256 of the
+// source's cd rendering, migrateVersion, and the options' fingerprint.
+// req.Verbose stays out of the key: it adds only the verification diff
+// lines, and a migration with diffs is never stored.
+func migrateKey(src *schematic.Design, opts migrate.Options) memo.Key {
+	h := sha256.New()
+	_ = cd.Write(h, src) // a hash never fails a write
+	return memo.Key{Content: hex.EncodeToString(h.Sum(nil)), Tool: migrateVersion, Options: opts.Fingerprint()}
+}
+
+// renderMigration renders a migration as Migrate prints it, in the form
+// the cache stores: a header line "migrate/v2 <report length>", then the
+// report, then the design in cd form.
+func renderMigration(name string, out *schematic.Design, rep *migrate.Report, verbose bool) []byte {
+	var report bytes.Buffer
+	fmt.Fprintf(&report, "migrated %q: %d instances replaced, %d pins rerouted (%d ripped, %d added segments)\n",
+		name, rep.ReplacedInstances, rep.ReroutedPins, rep.RippedSegments, rep.AddedSegments)
+	fmt.Fprintf(&report, "bus renames: %d, global renames: %d, property changes: %d, callbacks: %d\n",
+		rep.BusRenames, rep.GlobalRenames, rep.PropChanges, rep.CallbackRuns)
+	fmt.Fprintf(&report, "connectors added: %d, text adjusted: %d, geometric similarity: %.1f%%\n",
+		rep.ConnectorsAdded, rep.TextAdjusted, rep.GeometricSimilarity*100)
+	fmt.Fprintf(&report, "verification: %s\n", netlist.Summary(rep.Verification))
+	if rep.StructuralMatch != nil {
+		if *rep.StructuralMatch {
+			fmt.Fprintln(&report, "structural second opinion: tops match up to renaming (naming fallout only)")
+		} else {
+			fmt.Fprintln(&report, "structural second opinion: connectivity damaged")
+		}
+	}
+	if verbose {
+		for _, d := range rep.Verification {
+			fmt.Fprintln(&report, "  ", d)
+		}
+	}
+	var entry bytes.Buffer
+	fmt.Fprintf(&entry, "%s %d\n", migrateVersion, report.Len())
+	entry.Write(report.Bytes())
+	cd.Write(&entry, out) // a bytes.Buffer never fails a write
+	return entry.Bytes()
+}
+
+// writeMigration writes a rendered migration's report to reportW and its
+// design to designW. ok is false, and nothing is written, when entry is
+// not a migration of this version. As everywhere in this package, report
+// text is written unchecked; the design's write error is returned, since
+// schemig -out sends the design to a file.
+func writeMigration(reportW, designW io.Writer, entry []byte) (ok bool, err error) {
+	head, rest, found := bytes.Cut(entry, []byte("\n"))
+	size, versioned := strings.CutPrefix(string(head), migrateVersion+" ")
+	n, aerr := strconv.Atoi(size)
+	if !found || !versioned || aerr != nil || n < 0 || n > len(rest) {
+		return false, nil
+	}
+	_, _ = reportW.Write(rest[:n])
+	_, err = designW.Write(rest[n:])
+	return true, err
 }
 
 // parseMapFile loads SYM/GLOBAL/PROP/CALLBACK directives (the cmd/schemig

@@ -164,6 +164,12 @@ func New(cfg Config) (*Server, error) {
 		}))
 	s.mux.HandleFunc("/v1/migrate", post(s, "migrate",
 		func(ctx context.Context, w *bytes.Buffer, req MigrateRequest) (*obs.Recorder, error) {
+			// in, lib and map name server paths, and each CALLBACK line of
+			// a map names one more, whose a/L then runs with no step or
+			// depth budget. Refuse before Migrate can open any of them.
+			if req.In != "" || req.Lib != "" || req.Map != "" {
+				return nil, errors.New("in, lib, and map are not accepted over HTTP; send gen, or run schemig -in/-lib/-map on the daemon host instead")
+			}
 			rec := obs.New(nil)
 			root := rec.Start(0, "serve.migrate")
 			err := Migrate(ctx, w, w, req.WithDefaults(), s.cache)

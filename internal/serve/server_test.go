@@ -50,10 +50,11 @@ func postJSON(t *testing.T, url, body string) (int, Response, string) {
 	return resp.StatusCode, r, string(data)
 }
 
-// TestDaemonCLIEquivalence is the PR's core bar: for every endpoint, the
-// daemon's output field equals the bytes the CLI entry point renders for
-// the same request — under concurrent identical requests, at more than
-// one admission concurrency.
+// TestDaemonCLIEquivalence is the daemon's core bar: for every endpoint,
+// the daemon's output field equals the bytes the CLI entry point renders
+// for the same request — under concurrent identical requests, at more
+// than one admission concurrency, and with a shared in-memory cache, so
+// the identical requests share one key and hits must equal the CLI too.
 func TestDaemonCLIEquivalence(t *testing.T) {
 	type endpoint struct {
 		path   string
@@ -72,9 +73,13 @@ func TestDaemonCLIEquivalence(t *testing.T) {
 			return err
 		}},
 	}
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, ts := newTestServer(t, Config{Workers: workers, Queue: 64})
+	for _, cfg := range []Config{{Workers: 1, Queue: 64}, {Workers: 4, Queue: 64}, {Workers: 4, Queue: 64, CacheMem: true}} {
+		name := fmt.Sprintf("workers=%d", cfg.Workers)
+		if cfg.CacheMem {
+			name += ",cache=mem"
+		}
+		t.Run(name, func(t *testing.T) {
+			s, ts := newTestServer(t, cfg)
 			for _, ep := range endpoints {
 				var want bytes.Buffer
 				if err := ep.direct(context.Background(), &want); err != nil {
@@ -113,6 +118,9 @@ func TestDaemonCLIEquivalence(t *testing.T) {
 						break
 					}
 				}
+			}
+			if hits := s.Metrics().Counter("memo.hits").Value(); cfg.CacheMem && hits == 0 {
+				t.Error("no memo.hits after eight identical requests per endpoint")
 			}
 		})
 	}
