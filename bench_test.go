@@ -9,7 +9,9 @@ package cadinterop
 
 import (
 	"bytes"
+	"context"
 	"fmt"
+	"io"
 	"testing"
 
 	"cadinterop/internal/backplane"
@@ -28,6 +30,7 @@ import (
 	"cadinterop/internal/place"
 	"cadinterop/internal/route"
 	"cadinterop/internal/schematic"
+	"cadinterop/internal/serve"
 	"cadinterop/internal/sim"
 	"cadinterop/internal/synth"
 	"cadinterop/internal/workflow"
@@ -635,31 +638,28 @@ func BenchmarkWorkgenCorpus(b *testing.B) {
 	}
 }
 
-// BenchmarkFlowCacheWarm measures a fully warm backplane fan-out — every
-// flow served from the content-addressed cache, zero tool executions —
-// against the uncached fan-out it replaces. hit-rate is the cache's
-// cumulative ratio, which converges to 1 as the warm iterations pile up.
+// BenchmarkFlowCacheWarm measures a fully warm /v1/translate request —
+// the rendered output served from the content-addressed cache, zero tool
+// executions — against the uncached request it replaces. hit-rate is the
+// cache's cumulative ratio, which converges to 1 as the warm iterations
+// pile up.
 func BenchmarkFlowCacheWarm(b *testing.B) {
-	gen := func() (*phys.Design, *floorplan.Floorplan, error) {
-		return workgen.PhysDesign(workgen.PhysOptions{
-			Cells: 24, Seed: 17, CriticalNets: 3, Keepouts: 1})
-	}
-	tools := backplane.AllTools()
+	req := serve.TranslateRequest{Cells: 24, Seed: 17}
 	b.Run("uncached", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := backplane.RunFlows(gen, tools, 5); err != nil {
+			if err := serve.Translate(context.Background(), io.Discard, req, nil, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {
 		cache := memo.New(nil)
-		if _, err := backplane.RunFlowsObserved(gen, tools, 5, false, nil, cache); err != nil {
+		if err := serve.Translate(context.Background(), io.Discard, req, nil, cache); err != nil {
 			b.Fatal(err) // prime the cache outside the timed loop
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := backplane.RunFlowsObserved(gen, tools, 5, false, nil, cache); err != nil {
+			if err := serve.Translate(context.Background(), io.Discard, req, nil, cache); err != nil {
 				b.Fatal(err)
 			}
 		}

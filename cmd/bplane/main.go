@@ -43,8 +43,8 @@ func main() {
 	flag.StringVar(&cfg.traceFile, "trace", "", "write the span trace to this file (.json = Chrome trace, .jsonl = JSON lines, else text tree)")
 	flag.StringVar(&cfg.metricsFile, "metrics", "", "write the metrics registry to this file as text")
 	flag.BoolVar(&cfg.roundTrip, "roundtrip", false, "gate each dialect's flow on an exchange round-trip integrity check")
-	flag.BoolVar(&cfg.cache, "cache", false, "memoize per-tool flow results by content address (in memory)")
-	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persist the flow cache under this directory so repeat runs skip unchanged flows (implies -cache)")
+	flag.BoolVar(&cfg.cache, "cache", false, "memoize each translation's rendered output by content address (in memory)")
+	flag.StringVar(&cfg.cacheDir, "cache-dir", "", "persist the translation cache under this directory so repeat runs skip unchanged translations (implies -cache)")
 	var (
 		check   = flag.Bool("check", false, "vet the interchange files given as arguments (reader by extension) and exit")
 		strict  = flag.Bool("strict", true, "with -check: abort a file on its first error-severity diagnostic")

@@ -148,7 +148,7 @@ func checkDiskReaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := cache.Get(diskMemoKey); !ok || !bytes.Equal(got, diskMemoPayload) {
+	if got, ok := cache.Get(diskMemoKey, nil); !ok || !bytes.Equal(got, diskMemoPayload) {
 		t.Errorf("committed cache entry: Get = %q, %v; want the payload", got, ok)
 	}
 	if cache.Misses() != 0 {

@@ -67,33 +67,39 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 	for _, r := range reports {
 		out[filepath.Join("experiments", r.ID+".txt")] = r.String() + "\n"
 	}
+	// Each translation and each migration runs twice through one cache,
+	// so the file pins the cache's miss path (the render it stores) and
+	// its hit (the stored bytes written back).
+	missThenHit := func(file string, render func(*memo.Cache) string) {
+		cache := memo.New(nil)
+		miss := render(cache)
+		if hit := render(cache); hit != miss {
+			t.Errorf("-j %d: %s: the cache hit differs from the miss: %s", jobs, file, firstDiff(miss, hit))
+		}
+		if got := cache.Hits(); got != 1 {
+			t.Errorf("-j %d: %s: %d cache hits, want 1", jobs, file, got)
+		}
+		out[file] = miss
+	}
 	for _, cells := range []int{16, 24, 48} {
 		for _, seed := range []int64{1, 11, 42} {
 			for _, m := range goldenBplaneModes {
-				var buf bytes.Buffer
 				req := serve.TranslateRequest{Cells: cells, Seed: seed, Loss: m.loss, RoundTrip: m.roundTrip, Jobs: jobs}
-				if err := serve.Translate(context.Background(), &buf, req, nil, nil); err != nil {
-					fmt.Fprintf(&buf, "error: %v\n", err)
-				}
-				out[filepath.Join("bplane", fmt.Sprintf("cells%d-seed%d-%s.txt", cells, seed, m.name))] = buf.String()
+				missThenHit(filepath.Join("bplane", fmt.Sprintf("cells%d-seed%d-%s.txt", cells, seed, m.name)), func(cache *memo.Cache) string {
+					var buf bytes.Buffer
+					if err := serve.Translate(context.Background(), &buf, req, nil, cache); err != nil {
+						fmt.Fprintf(&buf, "error: %v\n", err)
+					}
+					return buf.String()
+				})
 			}
 		}
 	}
-	// Each migration runs twice through one cache, so the file pins the
-	// cache's miss path (the render it stores) and its hit (the stored
-	// bytes written back).
 	for _, gen := range []int{10, 60, 150} {
 		for _, seed := range []int64{1, 42} {
-			file := filepath.Join("schemig", fmt.Sprintf("gen%d-seed%d.txt", gen, seed))
-			cache := memo.New(nil)
-			miss := renderMigrate(gen, seed, cache)
-			if hit := renderMigrate(gen, seed, cache); hit != miss {
-				t.Errorf("-j %d: %s: the cache hit differs from the miss: %s", jobs, file, firstDiff(miss, hit))
-			}
-			if got := cache.Hits(); got != 1 {
-				t.Errorf("-j %d: %s: %d cache hits, want 1", jobs, file, got)
-			}
-			out[file] = miss
+			missThenHit(filepath.Join("schemig", fmt.Sprintf("gen%d-seed%d.txt", gen, seed)), func(cache *memo.Cache) string {
+				return renderMigrate(gen, seed, cache)
+			})
 		}
 	}
 	checks, err := filepath.Glob(filepath.Join(checkDir, "*"))

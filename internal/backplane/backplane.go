@@ -18,7 +18,6 @@ import (
 	"cadinterop/internal/exchange"
 	"cadinterop/internal/floorplan"
 	"cadinterop/internal/geom"
-	"cadinterop/internal/memo"
 	"cadinterop/internal/obs"
 	"cadinterop/internal/par"
 	"cadinterop/internal/phys"
@@ -349,8 +348,8 @@ func RunFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 // counters land in reg. All three observability arguments may be nil.
 func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64,
 	rec *obs.Recorder, parent obs.SpanID, reg *obs.Registry) (*FlowResult, error) {
-	// Every actual tool execution counts here — a warm cache hit in
-	// RunFlowsObserved never reaches this function, so the counter is the
+	// Every actual tool execution counts here — a cached translation
+	// (internal/serve) never reaches this function, so the counter is the
 	// ground truth for "did any tool really run".
 	reg.Counter("backplane.tool_execs").Inc()
 	tsp := rec.Start(parent, "translate")
@@ -412,11 +411,11 @@ func runFlow(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int
 // behaviour, while callers that inspect per-entry Err keep every
 // surviving flow.
 func RunFlows(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, opts ...par.Option) ([]*FlowResult, error) {
-	return RunFlowsObserved(gen, tools, seed, false, nil, nil, opts...)
+	return RunFlowsObserved(gen, tools, seed, false, nil, opts...)
 }
 
 // RunFlowsObserved is RunFlows with an optional interchange integrity
-// gate, observability and a result cache attached.
+// gate and observability attached.
 //
 // When roundTrip is true, each tool's private netlist is round-tripped
 // through the exchange format (write → read under checksum/manifest
@@ -432,9 +431,7 @@ func RunFlows(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []To
 // is byte-identical at every worker count. Fan-out loss and failure
 // totals, the router's counters, and the pool's queue metrics land in
 // rec's registry. rec may be nil.
-//
-// cache memoizes each tool's clean flow (nil = no memoization).
-func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, roundTrip bool, rec *obs.Recorder, cache *memo.Cache, opts ...par.Option) ([]*FlowResult, error) {
+func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), tools []ToolDialect, seed int64, roundTrip bool, rec *obs.Recorder, opts ...par.Option) ([]*FlowResult, error) {
 	reg := rec.Metrics()
 	var children []*obs.Recorder
 	if rec != nil {
@@ -466,33 +463,11 @@ func RunFlowsObserved(gen func() (*phys.Design, *floorplan.Floorplan, error), to
 				return &FlowResult{Tool: tools[i].Name, Err: err}, err
 			}
 		}
-		// Memoization: a prior clean run of the same (netlist, floorplan,
-		// library, dialect, seed) answers without executing the tool. The
-		// interchange gate above still runs warm — it guards the handoff,
-		// not the tool.
-		key, keyed := memo.Key{}, false
-		if cache != nil {
-			if k, ok := flowKey(d, fp, tools[i], seed, roundTrip); ok {
-				key, keyed = k, true
-				if data, hit := cache.Get(key); hit {
-					if res, ok := decodeFlow(data); ok {
-						crec.Event(sp, "cache", "hit")
-						crec.End(sp)
-						return res, nil
-					}
-				}
-			}
-		}
 		res, err := runFlow(d, fp, tools[i], seed, crec, sp, reg)
 		if err != nil {
 			crec.Attr(sp, "state", "failed")
 			crec.End(sp)
 			return &FlowResult{Tool: tools[i].Name, Err: err}, err
-		}
-		if keyed {
-			if enc, ok := encodeFlow(res); ok {
-				cache.Put(key, enc)
-			}
 		}
 		crec.End(sp)
 		return res, nil

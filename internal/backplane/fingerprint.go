@@ -1,50 +1,22 @@
-// Flow memoization: a content-addressed cache over one tool's entire
-// translate → place → route → audit pipeline. The key is the netlist's
-// canonical exchange fingerprint plus a full fingerprint of every other
-// flow input (floorplan intent, library, tool dialect, seed); the value is
-// the summary subset of FlowResult that every downstream consumer reads —
-// loss report, placement/routing headline numbers, audit violations. Warm
-// hits skip the tool pipeline entirely, which is what makes repeated
-// backplane fan-outs O(changed designs) instead of O(all designs).
 package backplane
 
 import (
-	"encoding/json"
 	"sort"
 
-	"cadinterop/internal/exchange"
 	"cadinterop/internal/floorplan"
 	"cadinterop/internal/memo"
 	"cadinterop/internal/phys"
-	"cadinterop/internal/place"
-	"cadinterop/internal/route"
 )
 
-// cacheVersion frames the cached-flow payload; bump when cachedFlow or any
-// serialized field's meaning changes so stale entries miss.
-const cacheVersion = "backplane-flow/v1"
-
-// flowKey builds the memoization key for one tool's flow. ok is false when
-// the netlist has no canonical serialization — the flow then runs uncached.
-func flowKey(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64, roundTrip bool) (memo.Key, bool) {
-	content, err := exchange.Fingerprint(d.Nets)
-	if err != nil {
-		return memo.Key{}, false
-	}
-	return memo.Key{
-		Content: content,
-		Tool:    "backplane/" + tool.Name,
-		Options: flowFingerprint(d, fp, tool, seed, roundTrip),
-	}, true
-}
-
-// flowFingerprint canonicalizes every flow input other than the netlist:
-// design frame, floorplan intent, library content, tool dialect, placement
-// seed, and the interchange-gate setting. The fan-out's worker count and
-// observability handles are excluded — the flow's result is byte-identical
-// across them by construction.
-func flowFingerprint(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, seed int64, roundTrip bool) string {
-	f := memo.NewFP("backplane.Flow/v1")
+// Fingerprint canonicalizes every input of a flow fan-out other than the
+// netlist: design frame, floorplan intent, library content, each tool
+// dialect in order, placement seed, and the interchange-gate setting, so
+// a cached translation (internal/serve) is keyed by all that affects its
+// output. The fan-out's worker count and observability handles are
+// excluded: the flows' results are byte-identical across them by
+// construction.
+func Fingerprint(d *phys.Design, fp *floorplan.Floorplan, tools []ToolDialect, seed int64, roundTrip bool) string {
+	f := memo.NewFP("backplane.Flows/v1")
 	f.Int("seed", int(seed))
 	f.Bool("roundtrip", roundTrip)
 
@@ -66,7 +38,10 @@ func flowFingerprint(d *phys.Design, fp *floorplan.Floorplan, tool ToolDialect, 
 		f.Bool("placement.fixed", p.Fixed)
 	}
 
-	fpDialect(f, tool)
+	f.Int("tools", len(tools))
+	for _, t := range tools {
+		fpDialect(f, t)
+	}
 	fpFloorplan(f, fp)
 	fpLibrary(f, d.Lib)
 	return f.Sum()
@@ -194,78 +169,4 @@ func fpLibrary(f *memo.FP, lib *phys.Library) {
 			f.Str("blockage.rect", b.Rect.String())
 		}
 	}
-}
-
-// cachedRoute is the subset of route.Result every flow consumer reads.
-// Routed geometry (Segments) and the incremental path's observability
-// fields are intentionally absent: the former would dominate entry size
-// for numbers nothing downstream of RunFlows uses, the latter are excluded
-// from the identity bar.
-type cachedRoute struct {
-	Wirelength  int
-	Vias        int
-	ShieldLen   int
-	Failed      []string
-	FailReasons []string
-}
-
-// cachedFlow is the serialized form of one clean FlowResult.
-type cachedFlow struct {
-	Version    string
-	Tool       string
-	Place      *place.Result
-	Route      cachedRoute
-	Violations []route.Violation
-	Loss       *Loss
-}
-
-// encodeFlow serializes a clean flow result. ok is false for results that
-// must not be cached (failed flows, missing stages).
-func encodeFlow(res *FlowResult) ([]byte, bool) {
-	if res == nil || res.Err != nil || res.Place == nil || res.Route == nil || res.Loss == nil {
-		return nil, false
-	}
-	data, err := json.Marshal(cachedFlow{
-		Version: cacheVersion,
-		Tool:    res.Tool,
-		Place:   res.Place,
-		Route: cachedRoute{
-			Wirelength:  res.Route.Wirelength,
-			Vias:        res.Route.Vias,
-			ShieldLen:   res.Route.ShieldLen,
-			Failed:      res.Route.Failed,
-			FailReasons: res.Route.FailReasons,
-		},
-		Violations: res.Violations,
-		Loss:       res.Loss,
-	})
-	if err != nil {
-		return nil, false
-	}
-	return data, true
-}
-
-// decodeFlow inverts encodeFlow; any mismatch reports !ok and the caller
-// treats the entry as a miss.
-func decodeFlow(data []byte) (*FlowResult, bool) {
-	var cf cachedFlow
-	if err := json.Unmarshal(data, &cf); err != nil || cf.Version != cacheVersion {
-		return nil, false
-	}
-	if cf.Place == nil || cf.Loss == nil {
-		return nil, false
-	}
-	return &FlowResult{
-		Tool:  cf.Tool,
-		Place: cf.Place,
-		Route: &route.Result{
-			Wirelength:  cf.Route.Wirelength,
-			Vias:        cf.Route.Vias,
-			ShieldLen:   cf.Route.ShieldLen,
-			Failed:      cf.Route.Failed,
-			FailReasons: cf.Route.FailReasons,
-		},
-		Violations: cf.Violations,
-		Loss:       cf.Loss,
-	}, true
 }

@@ -14,7 +14,7 @@ import (
 func renderObserved(t *testing.T, workers int, roundTrip bool) (string, []*FlowResult) {
 	t.Helper()
 	rec := obs.New(nil)
-	results, err := RunFlowsObserved(gen(t), AllTools(), 5, roundTrip, rec, nil, par.Workers(workers))
+	results, err := RunFlowsObserved(gen(t), AllTools(), 5, roundTrip, rec, par.Workers(workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestObservedTraceRoundTripGate(t *testing.T) {
 func TestObservedMetricsRecorded(t *testing.T) {
 	render := func(workers int) string {
 		rec := obs.New(nil)
-		if _, err := RunFlowsObserved(gen(t), AllTools(), 5, false, rec, nil, par.Workers(workers)); err != nil {
+		if _, err := RunFlowsObserved(gen(t), AllTools(), 5, false, rec, par.Workers(workers)); err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer

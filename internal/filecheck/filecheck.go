@@ -181,9 +181,7 @@ func FilesOpts(w io.Writer, paths []string, opts Options) error {
 }
 
 // vetFile produces one file's rendered block and abort verdict, consulting
-// the cache when Options.Cache is set. The key is content-addressed (file
-// bytes) plus path and mode — path included because diagnostics embed it,
-// so identical bytes under two names must not share an entry.
+// the cache when Options.Cache is set.
 func vetFile(path string, opts Options) (string, error) {
 	if opts.Cache == nil {
 		diags, err := CheckFileOpts(path, opts)
@@ -193,19 +191,11 @@ func vetFile(path string, opts Options) (string, error) {
 	if rerr != nil {
 		return render(path, opts.Mode, nil, rerr) // unreadable: uncached failure path
 	}
-	sum := sha256.Sum256(data)
-	key := memo.Key{
-		Content: hex.EncodeToString(sum[:]),
-		Tool:    "filecheck",
-		Options: memo.NewFP("filecheck.Options/v1").
-			Str("path", path).
-			Int("mode", int(opts.Mode)).
-			Sum(),
-	}
-	if enc, ok := opts.Cache.Get(key); ok {
-		if text, err, ok := decodeVet(enc); ok {
-			return text, err
-		}
+	key := vetKey(path, data, opts.Mode)
+	isVet := func(enc []byte) bool { _, _, ok := decodeVet(enc); return ok }
+	if enc, ok := opts.Cache.Get(key, isVet); ok {
+		text, err, _ := decodeVet(enc)
+		return text, err
 	}
 	// Parse the bytes that were hashed: a second read of the path could
 	// see other content and store its verdict under this key.
@@ -213,6 +203,22 @@ func vetFile(path string, opts Options) (string, error) {
 	text, err := render(path, opts.Mode, diags, err)
 	opts.Cache.Put(key, encodeVet(text, err))
 	return text, err
+}
+
+// vetKey is the content address of one file's vet: the file bytes, the
+// payload version vetHeader as the key's tool, and the path and mode —
+// path included because diagnostics embed it, so identical bytes under
+// two names must not share an entry.
+func vetKey(path string, data []byte, mode diag.Mode) memo.Key {
+	sum := sha256.Sum256(data)
+	return memo.Key{
+		Content: hex.EncodeToString(sum[:]),
+		Tool:    vetHeader,
+		Options: memo.NewFP("filecheck.Options/v1").
+			Str("path", path).
+			Int("mode", int(mode)).
+			Sum(),
+	}
 }
 
 // render renders one file's diagnostics block — every diagnostic line
@@ -237,7 +243,9 @@ func render(path string, mode diag.Mode, diags []diag.Diagnostic, err error) (st
 	return sb.String(), err
 }
 
-// vetHeader versions the cached-vet payload.
+// vetHeader versions the cached-vet payload and names it as the memo
+// key's tool, so an entry an older build stored is never read. Bump it
+// whenever the rendered block or the payload layout changes.
 const vetHeader = "filecheck/v1"
 
 // encodeVet serializes a rendered block plus abort verdict: a header line

@@ -16,7 +16,7 @@ func TestDisabledPathAllocs(t *testing.T) {
 	k := Key{Content: "deadbeef", Tool: "route", Options: "fp"}
 	payload := []byte("data")
 	avg := testing.AllocsPerRun(200, func() {
-		if _, ok := c.Get(k); ok {
+		if _, ok := c.Get(k, nil); ok {
 			t.Fatal("nil cache hit")
 		}
 		c.Put(k, payload)

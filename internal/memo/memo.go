@@ -90,9 +90,12 @@ func NewDir(dir string, reg *obs.Registry) (*Cache, error) {
 
 // Get returns the cached payload for k, or (nil, false) on a miss. The
 // in-memory store is consulted first; on-disk entries are integrity-checked
-// and promoted into memory on hit. A nil cache always misses without
-// counting anything.
-func (c *Cache) Get(k Key) ([]byte, bool) {
+// and promoted into memory on hit. accept (nil = any bytes) is the
+// caller's check of the payload: bytes it rejects count as a miss, and
+// only accepted bytes count toward memo.hits and memo.hit_bytes, so the
+// counters report answers the cache gave. A nil cache always misses
+// without counting anything.
+func (c *Cache) Get(k Key, accept func([]byte) bool) ([]byte, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -100,25 +103,30 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	c.mu.Lock()
 	v, ok := c.mem[id]
 	c.mu.Unlock()
+	fromDisk := false
 	if !ok && c.dir != "" {
 		if data, err := os.ReadFile(filepath.Join(c.dir, id)); err == nil {
-			if v, ok = frame.Open(data, "integrity", entryFields); ok {
-				c.mu.Lock()
-				c.mem[id] = v
-				c.mu.Unlock()
-			}
+			v, ok = frame.Open(data, "integrity", entryFields)
+			fromDisk = ok
 		}
 	}
-	if !ok {
-		c.mu.Lock()
+	if ok && accept != nil {
+		ok = accept(v)
+	}
+	c.mu.Lock()
+	if ok {
+		if fromDisk {
+			c.mem[id] = v
+		}
+		c.hits++
+	} else {
 		c.misses++
-		c.mu.Unlock()
+	}
+	c.mu.Unlock()
+	if !ok {
 		c.cMisses.Inc()
 		return nil, false
 	}
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
 	c.cHits.Inc()
 	c.cHitBytes.Add(int64(len(v)))
 	return v, true

@@ -17,13 +17,17 @@ func TestMemoryHitMiss(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(reg)
 	k := Key{Content: "abc", Tool: "route", Options: "fp1"}
-	if _, ok := c.Get(k); ok {
+	if _, ok := c.Get(k, nil); ok {
 		t.Fatal("empty cache hit")
 	}
 	c.Put(k, []byte("payload"))
-	v, ok := c.Get(k)
+	v, ok := c.Get(k, nil)
 	if !ok || string(v) != "payload" {
 		t.Fatalf("Get = %q, %v; want payload hit", v, ok)
+	}
+	// Bytes the caller rejects are a miss, not a hit.
+	if _, ok := c.Get(k, func([]byte) bool { return false }); ok {
+		t.Error("a rejected entry hit")
 	}
 	// Any single component flip must miss.
 	for _, k2 := range []Key{
@@ -31,21 +35,24 @@ func TestMemoryHitMiss(t *testing.T) {
 		{Content: "abc", Tool: "migrate", Options: "fp1"},
 		{Content: "abc", Tool: "route", Options: "fp2"},
 	} {
-		if _, ok := c.Get(k2); ok {
+		if _, ok := c.Get(k2, nil); ok {
 			t.Errorf("key %+v unexpectedly hit", k2)
 		}
 	}
-	if c.Hits() != 1 || c.Misses() != 4 {
-		t.Errorf("hits/misses = %d/%d, want 1/4", c.Hits(), c.Misses())
+	if c.Hits() != 1 || c.Misses() != 5 {
+		t.Errorf("hits/misses = %d/%d, want 1/5", c.Hits(), c.Misses())
 	}
-	if got := c.HitRate(); got != 0.2 {
-		t.Errorf("HitRate = %v, want 0.2", got)
+	if got, want := c.HitRate(), 1.0/6; got != want {
+		t.Errorf("HitRate = %v, want %v", got, want)
 	}
 	if v := reg.Counter("memo.hits").Value(); v != 1 {
 		t.Errorf("memo.hits counter = %d, want 1", v)
 	}
-	if v := reg.Counter("memo.misses").Value(); v != 4 {
-		t.Errorf("memo.misses counter = %d, want 4", v)
+	if v := reg.Counter("memo.misses").Value(); v != 5 {
+		t.Errorf("memo.misses counter = %d, want 5", v)
+	}
+	if v := reg.Counter("memo.hit_bytes").Value(); v != int64(len("payload")) {
+		t.Errorf("memo.hit_bytes counter = %d, want %d", v, len("payload"))
 	}
 	if v := reg.Counter("memo.puts").Value(); v != 1 {
 		t.Errorf("memo.puts counter = %d, want 1", v)
@@ -94,7 +101,7 @@ func TestDiskRoundTrip(t *testing.T) {
 	for i, p := range payloads {
 		ki := k
 		ki.Content = k.Content + string(rune('a'+i))
-		v, ok := c2.Get(ki)
+		v, ok := c2.Get(ki, nil)
 		if !ok || string(v) != string(p) {
 			t.Errorf("payload %d: disk Get = %q, %v; want %q", i, v, ok, p)
 		}
@@ -148,7 +155,7 @@ func TestWriteEntryDurabilityOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := c2.Get(k); !ok || string(got) != "durable payload" {
+	if got, ok := c2.Get(k, nil); !ok || string(got) != "durable payload" {
 		t.Fatalf("disk Get = %q, %v", got, ok)
 	}
 }
@@ -177,7 +184,7 @@ func TestWriteEntrySyncFailureAborts(t *testing.T) {
 	if len(ents) != 0 {
 		t.Fatalf("aborted write left files: %v", ents)
 	}
-	if v, ok := c.Get(k); !ok || string(v) != "payload" {
+	if v, ok := c.Get(k, nil); !ok || string(v) != "payload" {
 		t.Fatalf("Get after a failed disk write = %q, %v; want the in-memory entry", v, ok)
 	}
 }
@@ -213,7 +220,7 @@ func TestDiskCorruptionIsMiss(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, ok := fresh.Get(k); ok {
+		if v, ok := fresh.Get(k, nil); ok {
 			t.Errorf("%s: corrupt entry served as hit (%q)", name, v)
 		}
 	}
@@ -225,7 +232,7 @@ func TestDiskCorruptionIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := fresh.Get(k); !ok || string(v) != "precious payload bytes" {
+	if v, ok := fresh.Get(k, nil); !ok || string(v) != "precious payload bytes" {
 		t.Errorf("restored entry Get = %q, %v; want hit", v, ok)
 	}
 }
@@ -271,7 +278,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if v, ok := c.Get(k); ok {
+				if v, ok := c.Get(k, nil); ok {
 					served.Add(1)
 					if !valid[string(v)] {
 						torn.Add(1)
@@ -311,7 +318,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, ok := c.Get(k)
+	v, ok := c.Get(k, nil)
 	if !ok || !valid[string(v)] {
 		t.Fatalf("final Get = %q, %v; want one of the written payloads", v, ok)
 	}
@@ -328,7 +335,7 @@ func TestConcurrentWritersOneKey(t *testing.T) {
 
 func TestNilCacheNoOp(t *testing.T) {
 	var c *Cache
-	if _, ok := c.Get(Key{Content: "x"}); ok {
+	if _, ok := c.Get(Key{Content: "x"}, nil); ok {
 		t.Fatal("nil cache hit")
 	}
 	c.Put(Key{Content: "x"}, []byte("y"))

@@ -129,8 +129,8 @@ func TestMigrateCacheSkipsDirtyResults(t *testing.T) {
 
 // TestMigrateCacheForeignEntryIsMiss: bytes under a migration's key that
 // are not an entry of this version, damaged or written by another
-// format, answer like a cold run, and the clean result overwrites them,
-// so the next run is a hit.
+// format, answer like a cold run and count as a miss, and the clean
+// result overwrites them, so the next run is a hit.
 func TestMigrateCacheForeignEntryIsMiss(t *testing.T) {
 	req := MigrateRequest{Gen: 20, Seed: 42, Verbose: true}
 	var cold bytes.Buffer
@@ -162,9 +162,17 @@ func TestMigrateCacheForeignEntryIsMiss(t *testing.T) {
 			}
 		}
 		// One put of the foreign bytes, one of the clean entry over them,
-		// and none on the run that hit it.
+		// and none on the run that hit it. Only the clean entry's bytes
+		// count as hit bytes.
 		if puts := reg.Counter("memo.puts").Value(); puts != 2 {
 			t.Errorf("%q: %d puts, want 2", payload, puts)
+		}
+		if hits, misses := reg.Counter("memo.hits").Value(), reg.Counter("memo.misses").Value(); hits != 1 || misses != 1 {
+			t.Errorf("%q: hits %d, misses %d; want 1 and 1", payload, hits, misses)
+		}
+		clean := reg.Counter("memo.put_bytes").Value() - int64(len(payload))
+		if hitBytes := reg.Counter("memo.hit_bytes").Value(); hitBytes != clean {
+			t.Errorf("%q: %d hit bytes, want the clean entry's %d", payload, hitBytes, clean)
 		}
 	}
 }

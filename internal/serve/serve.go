@@ -33,6 +33,7 @@ import (
 
 	"cadinterop/internal/backplane"
 	"cadinterop/internal/diag"
+	"cadinterop/internal/exchange"
 	"cadinterop/internal/fault"
 	"cadinterop/internal/filecheck"
 	"cadinterop/internal/floorplan"
@@ -87,10 +88,11 @@ func (r TranslateRequest) deadlineMS() int64 { return r.DeadlineMS }
 // Translate runs the backplane flow fan-out and renders the result table
 // (and with req.Loss the per-item loss report) to w — exactly what
 // cmd/bplane prints. rec (nil = no tracing) receives the engine's
-// per-tool spans; cache (nil = no memoization) serves and stores
-// per-tool flow results. With req.RoundTrip the per-tool handoff gate
-// failures are rendered into the table and the first failure is also
-// returned, matching the CLI's non-zero exit.
+// per-tool spans. cache (nil = off) stores the rendered bytes of a clean
+// translation by content address, so a hit writes them again and runs
+// no tool. With req.RoundTrip the per-tool handoff gate failures are
+// rendered into the table and the first failure is also returned,
+// matching the CLI's non-zero exit; such a translation is never stored.
 func Translate(ctx context.Context, w io.Writer, req TranslateRequest, rec *obs.Recorder, cache *memo.Cache) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -112,19 +114,37 @@ func Translate(ctx context.Context, w io.Writer, req TranslateRequest, rec *obs.
 		return workgen.PhysDesign(workgen.PhysOptions{
 			Cells: req.Cells, Seed: req.Seed, CriticalNets: 3, Keepouts: 1})
 	}
+	var (
+		key   memo.Key
+		keyed bool
+	)
+	if cache != nil {
+		if d, fp, err := gen(); err == nil {
+			key, keyed = translateKey(d, fp, tools, req)
+			// The round-trip gate guards the hand-off, not the tools, so a
+			// stored translation is served only for a design that passes it.
+			if keyed && (!req.RoundTrip || exchange.VerifyRoundTrip(d.Nets) == nil) {
+				if out, hit := cache.Get(key, nil); hit {
+					_, err := w.Write(out)
+					return err
+				}
+			}
+		}
+	}
 	// Each tool's flow traces into a private child recorder on its own
 	// virtual clock; the children merge in tool order, so the trace is
 	// byte-identical at every worker count.
-	results, err := backplane.RunFlowsObserved(gen, tools, 5, req.RoundTrip, rec, cache,
+	results, err := backplane.RunFlowsObserved(gen, tools, flowSeed, req.RoundTrip, rec,
 		par.Workers(req.Jobs))
 	if err != nil && !req.RoundTrip {
 		return err
 	}
-	fmt.Fprintf(w, "%-8s %6s %10s %8s %8s %6s %12s %10s\n",
+	var out bytes.Buffer
+	fmt.Fprintf(&out, "%-8s %6s %10s %8s %8s %6s %12s %10s\n",
 		"tool", "lost", "degraded", "HPWL", "wirelen", "vias", "violations", "unrouted")
 	for _, res := range results {
 		if res.Err != nil {
-			fmt.Fprintf(w, "%-8s FAILED: %v\n", res.Tool, res.Err)
+			fmt.Fprintf(&out, "%-8s FAILED: %v\n", res.Tool, res.Err)
 			continue
 		}
 		var dropped, degraded int
@@ -135,35 +155,68 @@ func Translate(ctx context.Context, w io.Writer, req TranslateRequest, rec *obs.
 				degraded++
 			}
 		}
-		fmt.Fprintf(w, "%-8s %6d %10d %8d %8d %6d %12d %10d\n",
+		fmt.Fprintf(&out, "%-8s %6d %10d %8d %8d %6d %12d %10d\n",
 			res.Tool, dropped, degraded, res.Place.FinalHPWL,
 			res.Route.Wirelength, res.Route.Vias, len(res.Violations), len(res.Route.Failed))
 		if req.Loss {
 			for _, it := range res.Loss.Items {
-				fmt.Fprintln(w, "   ", it)
+				fmt.Fprintln(&out, "   ", it)
 			}
 			for _, v := range res.Violations {
-				fmt.Fprintln(w, "    AUDIT:", v)
+				fmt.Fprintln(&out, "    AUDIT:", v)
 			}
 		}
 	}
 	if merged := backplane.MergeLoss(results); len(results) > 1 && len(merged) > 0 {
-		fmt.Fprintf(w, "\nconstraint loss by class (per tool: ")
+		fmt.Fprintf(&out, "\nconstraint loss by class (per tool: ")
 		for i, res := range results {
 			if i > 0 {
-				fmt.Fprint(w, " ")
+				fmt.Fprint(&out, " ")
 			}
-			fmt.Fprint(w, res.Tool)
+			fmt.Fprint(&out, res.Tool)
 		}
-		fmt.Fprintln(w, ")")
+		fmt.Fprintln(&out, ")")
 		for _, cl := range merged {
-			fmt.Fprintf(w, "  %-14s dropped=%-3d degraded=%-3d per-tool=%v\n",
+			fmt.Fprintf(&out, "  %-14s dropped=%-3d degraded=%-3d per-tool=%v\n",
 				cl.Class, cl.Dropped, cl.Degraded, cl.PerTool)
 		}
 	}
+	if _, werr := w.Write(out.Bytes()); werr != nil {
+		return werr
+	}
 	// With RoundTrip a gate failure was rendered per tool above; still
-	// return it so callers exit (or respond) non-zero.
+	// return it so callers exit (or respond) non-zero. Only a clean
+	// translation is stored.
+	if err == nil && keyed {
+		cache.Put(key, out.Bytes())
+	}
 	return err
+}
+
+// flowSeed is the placement seed of every translation.
+const flowSeed = 5
+
+// translateVersion names a cached translation: the memo key's tool. Bump
+// it whenever what Translate prints changes, so an entry stored by an
+// older build is a miss, never a stale answer.
+const translateVersion = "translate/v1"
+
+// translateKey is the content address of one translation: the netlist's
+// exchange fingerprint, translateVersion, and a fingerprint of req.Loss
+// and of every other flow input over the selected tools. req.Jobs stays
+// out: the output is byte-identical at every worker count. ok is false
+// when the netlist has no canonical serialization; the translation then
+// runs uncached.
+func translateKey(d *phys.Design, fp *floorplan.Floorplan, tools []backplane.ToolDialect, req TranslateRequest) (memo.Key, bool) {
+	content, err := exchange.Fingerprint(d.Nets)
+	if err != nil {
+		return memo.Key{}, false
+	}
+	opts := memo.NewFP("serve.Translate/v1").
+		Bool("loss", req.Loss).
+		Str("flows", backplane.Fingerprint(d, fp, tools, flowSeed, req.RoundTrip)).
+		Sum()
+	return memo.Key{Content: content, Tool: translateVersion, Options: opts}, true
 }
 
 // --- /v1/check: interchange vetting (interop -check / bplane -check) ---
@@ -282,10 +335,9 @@ func Migrate(ctx context.Context, reportW, designW io.Writer, req MigrateRequest
 	var key memo.Key
 	if cache != nil {
 		key = migrateKey(design, opts)
-		if entry, hit := cache.Get(key); hit {
-			if ok, err := writeMigration(reportW, designW, entry); ok {
-				return err
-			}
+		isMigration := func(entry []byte) bool { _, _, ok := splitMigration(entry); return ok }
+		if entry, hit := cache.Get(key, isMigration); hit {
+			return writeMigration(reportW, designW, entry)
 		}
 	}
 	out, rep, err := migrate.Migrate(design, opts)
@@ -293,7 +345,7 @@ func Migrate(ctx context.Context, reportW, designW io.Writer, req MigrateRequest
 		return err
 	}
 	entry := renderMigration(design.Name, out, rep, req.Verbose)
-	if _, err := writeMigration(reportW, designW, entry); err != nil {
+	if err := writeMigration(reportW, designW, entry); err != nil {
 		return err
 	}
 	if len(rep.Verification) != 0 {
@@ -349,21 +401,30 @@ func renderMigration(name string, out *schematic.Design, rep *migrate.Report, ve
 	return entry.Bytes()
 }
 
-// writeMigration writes a rendered migration's report to reportW and its
-// design to designW. ok is false, and nothing is written, when entry is
-// not a migration of this version. As everywhere in this package, report
-// text is written unchecked; the design's write error is returned, since
-// schemig -out sends the design to a file.
-func writeMigration(reportW, designW io.Writer, entry []byte) (ok bool, err error) {
+// splitMigration cuts a rendered migration into its report and its
+// design. ok is false when entry is not a migration of this version:
+// bytes under a migration's key that are damaged or written by another
+// format are a miss, and the clean result overwrites them.
+func splitMigration(entry []byte) (report, design []byte, ok bool) {
 	head, rest, found := bytes.Cut(entry, []byte("\n"))
 	size, versioned := strings.CutPrefix(string(head), migrateVersion+" ")
-	n, aerr := strconv.Atoi(size)
-	if !found || !versioned || aerr != nil || n < 0 || n > len(rest) {
-		return false, nil
+	n, err := strconv.Atoi(size)
+	if !found || !versioned || err != nil || n < 0 || n > len(rest) {
+		return nil, nil, false
 	}
-	_, _ = reportW.Write(rest[:n])
-	_, err = designW.Write(rest[n:])
-	return true, err
+	return rest[:n], rest[n:], true
+}
+
+// writeMigration writes a rendered migration's report to reportW and its
+// design to designW; entry splits, as renderMigration's output and every
+// cache hit do. As everywhere in this package, report text is written
+// unchecked; the design's write error is returned, since schemig -out
+// sends the design to a file.
+func writeMigration(reportW, designW io.Writer, entry []byte) error {
+	report, design, _ := splitMigration(entry)
+	_, _ = reportW.Write(report)
+	_, err := designW.Write(design)
+	return err
 }
 
 // parseMapFile loads SYM/GLOBAL/PROP/CALLBACK directives (the cmd/schemig

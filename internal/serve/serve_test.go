@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"context"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"cadinterop/internal/memo"
 	"cadinterop/internal/migrate"
 )
 
@@ -34,6 +36,40 @@ func TestTranslateUnknownTool(t *testing.T) {
 	err := Translate(context.Background(), &w, TranslateRequest{Cells: 8, Seed: 1, Tool: "nope"}, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "unknown tool") {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestTranslateKeySeparatesInputs: a translation is stored under a key
+// that every rendered input moves — cells, seed, tool, loss and
+// roundtrip each make a request miss the entry of one that differs only
+// there — while jobs, which changes no byte of the output, and an
+// identical request find it.
+func TestTranslateKeySeparatesInputs(t *testing.T) {
+	base := TranslateRequest{Cells: 16, Seed: 1}
+	cache := memo.New(nil)
+	if err := Translate(context.Background(), io.Discard, base, nil, cache); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		req  TranslateRequest
+		hit  bool
+	}{
+		{"cells", TranslateRequest{Cells: 17, Seed: 1}, false},
+		{"seed", TranslateRequest{Cells: 16, Seed: 2}, false},
+		{"tool", TranslateRequest{Cells: 16, Seed: 1, Tool: "toolP"}, false},
+		{"loss", TranslateRequest{Cells: 16, Seed: 1, Loss: true}, false},
+		{"roundtrip", TranslateRequest{Cells: 16, Seed: 1, RoundTrip: true}, false},
+		{"jobs", TranslateRequest{Cells: 16, Seed: 1, Jobs: 1}, true},
+		{"identical", base, true},
+	} {
+		hits := cache.Hits()
+		if err := Translate(context.Background(), io.Discard, c.req, nil, cache); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if hit := cache.Hits() > hits; hit != c.hit {
+			t.Errorf("%s: hit %v, want %v", c.name, hit, c.hit)
+		}
 	}
 }
 
