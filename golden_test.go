@@ -35,8 +35,11 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // /v1/translate print for that run, and schemig/gen<N>-seed<S>.txt is
 // what `schemig -gen N -seed S -v` prints, and check/<mode>.txt is what
 // `interop -check` prints in that mode over every file under checkDir,
-// each followed by the returned error, if any. disk/ holds stored bytes:
-// interchange files, a cache entry and two journals (golden_disk_test.go).
+// each followed by the returned error, if any. flowrun/<case>.txt is what
+// flowrun prints for one of goldenFlowCases, then the span tree its
+// -trace writes to a text file, the metrics its -metrics writes, and the
+// returned error, if any. disk/ holds stored bytes: interchange files, a
+// cache entry and two journals (golden_disk_test.go).
 const goldenDir = "testdata/golden"
 
 // checkDir holds the inputs of the check cases: clean and damaged .edf
@@ -54,6 +57,23 @@ var goldenBplaneModes = []struct {
 	{"plain", false, false},
 	{"loss", true, false},
 	{"roundtrip", false, true},
+}
+
+// goldenFlowCases are the flowrun runs the corpus pins, each named by its
+// flags: the defaults, the two flow shapes the mixed-open benchmark
+// workload sends (16 blocks plain, and faulted with retries), a faulted
+// run that prints FAILED and BLOCKED lines, the versioned store without
+// rework, and the dot graph.
+var goldenFlowCases = []struct {
+	name string
+	req  serve.FlowRequest
+}{
+	{"defaults-events", serve.FlowRequest{Events: true}},
+	{"blocks16", serve.FlowRequest{Blocks: 16}},
+	{"blocks16-faults7-retries3", serve.FlowRequest{Blocks: 16, Faults: "7:0.2", Retries: 3}},
+	{"blocks4-faults3-events", serve.FlowRequest{Blocks: 4, Faults: "3:0.9", Events: true}},
+	{"blocks2-versioned-norework-events", serve.FlowRequest{Blocks: 2, Store: "versioned", Rework: new(bool), Events: true}},
+	{"blocks2-dot", serve.FlowRequest{Blocks: 2, Dot: true}},
 }
 
 // renderGolden renders every golden case at the given worker count, keyed
@@ -118,8 +138,28 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 		}
 		out[filepath.Join("check", mode+".txt")] = buf.String()
 	}
+	for _, c := range goldenFlowCases {
+		out[filepath.Join("flowrun", c.name+".txt")] = renderFlow(c.req)
+	}
 	renderDisk(t, out)
 	return out
+}
+
+// renderFlow renders one flowrun run as the daemon runs it, with the
+// recorder on: stdout, then the text span tree and the metrics that
+// -trace and -metrics write, each under a header line.
+func renderFlow(req serve.FlowRequest) string {
+	var buf bytes.Buffer
+	rec, err := serve.Flow(context.Background(), &buf, req.WithDefaults(), true)
+	rec.Close()
+	buf.WriteString("-- trace --\n")
+	rec.WriteTree(&buf)
+	buf.WriteString("-- metrics --\n")
+	rec.Metrics().Write(&buf)
+	if err != nil {
+		fmt.Fprintf(&buf, "error: %v\n", err)
+	}
+	return buf.String()
 }
 
 // renderMigrate renders one `schemig -gen N -seed S -v` run: the report
