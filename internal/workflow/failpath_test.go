@@ -69,6 +69,126 @@ func TestHeldTaskFiresTriggers(t *testing.T) {
 	}
 }
 
+// TestHeldCountTracksHeldTasks: the held count that lets promoteHeld
+// return at once must equal the number of Held tasks after every RunTask
+// and Reset on the held paths of TestHeldAutoPromotionOrdering,
+// TestHeldTaskFiresTriggers and TestRunSummaryBlockedReasons, a Reset of
+// a held task included. A count stuck at 0 while a task is held would
+// silently skip that task's promotion.
+func TestHeldCountTracksHeldTasks(t *testing.T) {
+	ok := FuncAction{Fn: func(*Ctx) int { return 0 }}
+	check := func(in *Instance, after string) {
+		t.Helper()
+		n := 0
+		for _, task := range in.Tasks {
+			if task.State == Held {
+				n++
+			}
+		}
+		if in.held != n {
+			t.Fatalf("after %s: held count %d, %d tasks Held", after, in.held, n)
+		}
+	}
+	run := func(in *Instance, name string) {
+		t.Helper()
+		if err := in.RunTask(name, "u"); err != nil {
+			t.Fatal(err)
+		}
+		check(in, "RunTask "+name)
+	}
+	reset := func(in *Instance, name string) {
+		t.Helper()
+		if err := in.Reset(name, "u"); err != nil {
+			t.Fatal(err)
+		}
+		check(in, "Reset "+name)
+	}
+
+	// The promotion chain, once straight and once with the middle held
+	// task reset before the gate completes and run again after.
+	chain := &Template{Name: "chain", Steps: []*StepDef{
+		{Name: "h1", Action: ok, FinishRequires: []string{"h2"}},
+		{Name: "h2", Action: ok, FinishRequires: []string{"h3"}},
+		{Name: "h3", Action: ok, FinishRequires: []string{"gate"}},
+		{Name: "gate", Action: ok},
+	}}
+	for _, order := range [][]string{
+		{"h1", "h2", "h3", "gate"},
+		{"h1", "h2", "h3", "reset h2", "gate", "h2"},
+	} {
+		in, err := Instantiate(chain, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range order {
+			if name, ok := strings.CutPrefix(step, "reset "); ok {
+				reset(in, name)
+			} else {
+				run(in, step)
+			}
+		}
+		if !in.Complete() || in.held != 0 {
+			t.Errorf("%v: complete=%v held=%d, want every task Done", order, in.Complete(), in.held)
+		}
+	}
+
+	// A held producer whose triggers fired, promoted by its sibling.
+	store := NewMemStore()
+	store.Put("data", "v1")
+	trig, err := Instantiate(&Template{Name: "h", Steps: []*StepDef{
+		{Name: "consumer", Action: ok, Inputs: []MaturityCheck{{Item: "data"}}},
+		{Name: "sibling", Action: ok},
+		{Name: "producer", Action: FuncAction{Fn: func(c *Ctx) int {
+			c.Data().Put("data", "v2")
+			return 0
+		}}, Outputs: []string{"data"}, FinishRequires: []string{"sibling"}},
+	}}, store, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"consumer", "producer", "sibling", "consumer"} {
+		run(trig, name)
+	}
+	if trig.held != 0 || trig.Tasks["producer"].State != Done {
+		t.Errorf("producer = %v, held count %d after its sibling", trig.Tasks["producer"].State, trig.held)
+	}
+
+	// A task held on a dependency downstream of a failure stays held at
+	// quiescence; resetting it releases the count.
+	reasons, err := Instantiate(&Template{Name: "reasons", Steps: []*StepDef{
+		{Name: "doomed", Action: ok},
+		{Name: "downstream", Action: ok, StartAfter: []string{"doomed"}},
+		{Name: "held", Action: ok, FinishRequires: []string{"downstream"}},
+		{Name: "immature", Action: ok, Inputs: []MaturityCheck{{Item: "absent", Exists: true}}},
+		{Name: "gated", Action: ok, Permissions: []string{"manager"}},
+	}}, NewMemStore(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reasons.Faults = scriptInjector{"doomed/1": {Kind: fault.Crash}}
+	// Run's passes, one RunTask at a time; "gated" is the manager's.
+	for progressed := true; progressed; {
+		progressed = false
+		for _, name := range reasons.Ready() {
+			if name != "gated" {
+				run(reasons, name)
+				progressed = true
+			}
+		}
+	}
+	if reasons.held != 1 {
+		t.Fatalf("held count %d at quiescence, want 1", reasons.held)
+	}
+	if sum := reasons.RunContinue("engineer"); !strings.Contains(sum.Blocked["held"], "held on finish dependency") {
+		t.Errorf("held blocked reason = %q", sum.Blocked["held"])
+	}
+	check(reasons, "RunContinue")
+	reset(reasons, "held")
+	if reasons.held != 0 {
+		t.Errorf("held count %d after resetting the held task, want 0", reasons.held)
+	}
+}
+
 // TestExplicitStateLogsActualKind: the final-state log must carry the kind
 // of the actual state — CollectMetrics counts failures by scanning for
 // Kind == "failed", so mislabelled events undercount.

@@ -299,9 +299,19 @@ type Event struct {
 // Instance is a deployed workflow.
 type Instance struct {
 	Template *Template
-	Tasks    map[string]*Task
-	Data     DataStore
-	Vars     map[string]string
+	// Tasks maps each task's hierarchical name to the task. Instantiate
+	// builds it, and it is fixed once Instantiate returns: the engine
+	// schedules from its own name-ordered copy of these tasks.
+	Tasks map[string]*Task
+	Data  DataStore
+	Vars  map[string]string
+	// order holds every task of Tasks sorted by name, built once by
+	// Instantiate: the order Ready, promoteHeld and RunContinue walk.
+	order []*Task
+	// held counts the tasks in Held. RunTask raises it when a task parks;
+	// a promotion or a Reset lowers it, so promoteHeld costs nothing while
+	// no task is held.
+	held int
 	// triggers: data item -> tasks to mark for rework on change.
 	triggers map[string][]string
 	// consumers: data item -> tasks with a maturity input on it.
@@ -431,6 +441,11 @@ func Instantiate(t *Template, data DataStore, blocks []string) (*Instance, error
 	for item := range in.consumers {
 		sort.Strings(in.consumers[item])
 	}
+	in.order = make([]*Task, 0, len(in.Tasks))
+	for _, task := range in.Tasks {
+		in.order = append(in.order, task)
+	}
+	sort.Slice(in.order, func(i, j int) bool { return in.order[i].Name < in.order[j].Name })
 	return in, nil
 }
 
@@ -445,13 +460,12 @@ func (in *Instance) addTask(name, block string, def *StepDef, startAfter, finish
 	}
 }
 
-// TaskNames returns all task names sorted.
+// TaskNames returns all task names sorted, in a new slice.
 func (in *Instance) TaskNames() []string {
-	out := make([]string, 0, len(in.Tasks))
-	for n := range in.Tasks {
-		out = append(out, n)
+	out := make([]string, len(in.order))
+	for i, t := range in.order {
+		out[i] = t.Name
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -509,13 +523,12 @@ func (in *Instance) checkMaturity(chk MaturityCheck) (bool, string) {
 // Ready lists tasks whose start dependencies and inputs are satisfied.
 func (in *Instance) Ready() []string {
 	var out []string
-	for _, n := range in.TaskNames() {
-		t := in.Tasks[n]
+	for _, t := range in.order {
 		if t.State != Pending && t.State != NeedsRerun {
 			continue
 		}
 		if ok, _ := in.readyToStart(t); ok {
-			out = append(out, n)
+			out = append(out, t.Name)
 		}
 	}
 	return out
@@ -606,6 +619,7 @@ func (in *Instance) RunTask(name, role string) error {
 	if d, held := in.incompleteFinishDep(t); held {
 		t.State = Held
 		t.heldFinal = final
+		in.held++
 		in.jheld(t)
 		in.mHeld.Inc()
 		in.tracer.Event(t.span, "held", d)
@@ -786,20 +800,20 @@ func eventKind(s TaskState) string {
 }
 
 // promoteHeld completes every Held task whose finish dependencies are now
-// satisfied, to fixpoint (a promotion can satisfy another held task's
-// dependency). Their triggers fired when they parked; only the completion
-// itself is pending.
+// satisfied, in name order, to fixpoint (a promotion can satisfy another
+// held task's dependency). Their triggers fired when they parked; only the
+// completion itself is pending. With no task held it returns at once.
 func (in *Instance) promoteHeld() {
-	for changed := true; changed; {
+	for changed := true; changed && in.held > 0; {
 		changed = false
-		for _, name := range in.TaskNames() {
-			t := in.Tasks[name]
+		for _, t := range in.order {
 			if t.State != Held {
 				continue
 			}
 			if _, held := in.incompleteFinishDep(t); held {
 				continue
 			}
+			in.held--
 			in.complete(t, t.heldFinal, t.Status)
 			in.mPromoted.Inc()
 			in.tracer.Event(t.span, "promoted", "")
@@ -865,6 +879,9 @@ func (in *Instance) Reset(name, role string) error {
 		in.log(name, "rerun", "reset by "+role+" (rework marking preserved)")
 		in.jstate(name, NeedsRerun, 0)
 		return nil
+	}
+	if t.State == Held {
+		in.held--
 	}
 	t.State = Pending
 	t.heldFinal = Pending
@@ -951,18 +968,17 @@ func (in *Instance) RunContinue(role string) *RunSummary {
 			s.Errors = []error{err}
 		}
 	}
-	for _, name := range in.TaskNames() {
-		t := in.Tasks[name]
+	for _, t := range in.order {
 		switch t.State {
 		case Done, Skipped:
 			s.Completed++
 		case Failed:
-			s.Failed = append(s.Failed, name)
+			s.Failed = append(s.Failed, t.Name)
 		case Held:
 			d, _ := in.incompleteFinishDep(t)
-			s.Blocked[name] = fmt.Sprintf("held on finish dependency %q", d)
+			s.Blocked[t.Name] = fmt.Sprintf("held on finish dependency %q", d)
 		default:
-			s.Blocked[name] = in.blockedReason(t)
+			s.Blocked[t.Name] = in.blockedReason(t)
 		}
 	}
 	return s
