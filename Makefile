@@ -13,11 +13,12 @@ RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/i
 
 # The go test benchmarks run by `make bench`, all in the root package: the
 # experiment sweep, the scale trajectory (interchange read, end-to-end
-# serial route, schematic connectivity extraction) and the warm flow
-# cache. Override BENCH / BENCH_COUNT for a quicker or broader run.
+# serial route, schematic connectivity extraction), the warm flow cache
+# and the workflow engine's cost versus block count. Override BENCH /
+# BENCH_COUNT for a quicker or broader run.
 # Performance claims are measured by the bench/ harness (bench/ab.sh), not
 # here.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling
 BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora
@@ -59,7 +60,9 @@ race:
 # allocations (DESIGN.md §5c), the memo cache's disabled path, a
 # /v1/migrate cache hit (which parses no cd), and the s-expression reader's
 # arena: allocations per net of an in-memory exchange read (ReadBytes),
-# allocations of a 40 KB cd read, and the cost of a short a/L parse.
+# allocations of a 40 KB cd read, and the cost of a short a/L parse. One
+# gate is a scaling bound: the bytes a faulted /v1/flow allocates per task
+# may grow at most 1.5x from 16 to 256 blocks.
 allocs:
 	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd
 

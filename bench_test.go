@@ -274,9 +274,10 @@ func BenchmarkExp11Methodology(b *testing.B) {
 }
 
 // BenchmarkWorkflowScaling shows engine cost versus block count (ablation
-// of the hierarchical expansion).
+// of the hierarchical expansion). Each block adds one task, so a cost per
+// op that grows faster than the block count is scheduling overhead.
 func BenchmarkWorkflowScaling(b *testing.B) {
-	for _, blocks := range []int{4, 16, 64} {
+	for _, blocks := range []int{4, 16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("blocks=%d", blocks), func(b *testing.B) {
 			names := make([]string, blocks)
 			for i := range names {

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -199,6 +200,37 @@ func (r *Registry) Histogram(name string, bounds ...int64) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// AddFrom adds src's counters and histograms into r, creating each on
+// first use: how a short-lived registry, such as one request's, is folded
+// into a long-lived one. Gauges stay out, because a gauge is the level
+// of the registry it was set in, not a sum. Each source histogram bucket
+// adds its count to r's bucket holding that bucket's upper bound, which
+// is the same bucket when the bounds agree. No-op when either registry
+// is nil or both are the same.
+func (r *Registry) AddFrom(src *Registry) {
+	if r == nil || src == nil || r == src {
+		return
+	}
+	src.mu.Lock()
+	ctrs, hists := maps.Clone(src.ctrs), maps.Clone(src.hists)
+	src.mu.Unlock()
+	for name, c := range ctrs {
+		r.Counter(name).Add(c.Value())
+	}
+	for name, h := range hists {
+		dst := r.Histogram(name, h.bounds...)
+		for i, c := range h.Buckets() {
+			j := len(dst.bounds)
+			if i < len(h.bounds) {
+				j = sort.Search(len(dst.bounds), func(k int) bool { return h.bounds[i] <= dst.bounds[k] })
+			}
+			dst.buckets[j].Add(c)
+		}
+		dst.count.Add(h.Count())
+		dst.sum.Add(h.Sum())
+	}
 }
 
 // Write renders every instrument, sorted by kind then name, one line

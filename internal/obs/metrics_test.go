@@ -129,3 +129,41 @@ func TestInstrumentsConcurrent(t *testing.T) {
 		t.Errorf("hist buckets = %v", b)
 	}
 }
+
+// TestRegistryAddFrom: counters and histogram buckets add, zero counters
+// included, into instruments created on first use; gauges stay out; a
+// histogram with other bounds lands by each source bucket's upper bound;
+// nil and self are no-ops.
+func TestRegistryAddFrom(t *testing.T) {
+	req := NewRegistry()
+	req.Counter("work.done").Add(3)
+	req.Counter("work.failed")
+	req.Gauge("work.depth").Set(7)
+	req.Histogram("work.tries", 1, 2).Observe(2)
+	req.Histogram("work.size", 10, 100).Observe(50)
+	req.Histogram("work.size", 10, 100).Observe(500)
+
+	srv := NewRegistry()
+	srv.Counter("serve.served").Inc()
+	srv.Histogram("work.size", 5, 200)
+	srv.AddFrom(req)
+	srv.AddFrom(req)
+	srv.AddFrom(nil)
+	srv.AddFrom(srv)
+	var nilReg *Registry
+	nilReg.AddFrom(req)
+
+	var buf bytes.Buffer
+	if err := srv.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `counter serve.served 1
+counter work.done 6
+counter work.failed 0
+hist work.size count=4 sum=1100 buckets=[<=5:0 <=200:2 inf:2]
+hist work.tries count=2 sum=4 buckets=[<=1:0 <=2:2 inf:0]
+`
+	if got := buf.String(); got != want {
+		t.Errorf("got:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -8,6 +8,7 @@ package serve
 import (
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	"cadinterop/internal/memo"
@@ -59,5 +60,39 @@ func TestTranslateHitAllocs(t *testing.T) {
 	}
 	if avg > 1000 {
 		t.Errorf("a translate hit makes %.0f allocations, want <= 1000", avg)
+	}
+}
+
+// TestFlowAllocsFlatInBlocks gates how a /v1/flow's cost grows with its
+// blocks: the bytes Flow allocates per task, faulted at 7:0.2 with 3
+// attempts per step and the recorder on, as the daemon runs it, may grow
+// at most 1.5x from 16 blocks (52 tasks) to 256 (772). The figure is
+// runtime.MemStats.TotalAlloc over three runs after one warm-up. When the
+// engine sorted every task name after each finished task it grew 4.5x
+// (3,780 to 16,973 B per task on a 2-CPU machine); with the order built
+// once per flow it read 2,584 and 3,307 when the bound was set.
+func TestFlowAllocsFlatInBlocks(t *testing.T) {
+	perTask := func(blocks int) float64 {
+		req := FlowRequest{Blocks: blocks, Faults: "7:0.2", Retries: 3}.WithDefaults()
+		run := func() {
+			if _, err := Flow(context.Background(), io.Discard, req, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 3
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		tasks := 3*blocks + 4 // rtl, synth and verify per block; plan, the join, assemble, signoff
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(tasks)
+	}
+	small, large := perTask(16), perTask(256)
+	t.Logf("%.0f B per task at 16 blocks, %.0f at 256 (%.2fx)", small, large, large/small)
+	if large > 1.5*small {
+		t.Errorf("a flow allocates %.0f B per task at 256 blocks, %.2fx its %.0f at 16; want <= 1.5x", large, large/small, small)
 	}
 }

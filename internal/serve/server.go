@@ -276,6 +276,7 @@ func post[R deadlined](s *Server, ep string, run func(context.Context, *bytes.Bu
 		rec, err := run(ctx, &buf, req)
 		rec.Close()
 		s.keepTrace(ep, rec)
+		s.reg.AddFrom(rec.Metrics())
 		if err != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 			http.Error(w, "deadline exceeded at an engine stage boundary", http.StatusGatewayTimeout)
 			s.count(ep, "timeout")
@@ -391,7 +392,9 @@ func (s *Server) keepTrace(ep string, rec *obs.Recorder) {
 }
 
 // debugMetrics renders the server-lifetime registry in the canonical
-// text metrics format: request outcomes, gate accounting, memo hit/miss.
+// text metrics format: request outcomes, gate accounting, memo hit/miss,
+// and the counters and histograms the engines recorded into each
+// request's own registry, summed over every request.
 func (s *Server) debugMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	s.reg.Write(w)

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -510,6 +511,17 @@ func TestDebugEndpoints(t *testing.T) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
+	// The flow's engine counters reach /debug/metrics exactly as
+	// `flowrun -blocks 2 -metrics` writes them.
+	rec, err := Flow(context.Background(), io.Discard, FlowRequest{Blocks: 2}.WithDefaults(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cli bytes.Buffer
+	rec.Metrics().Write(&cli)
+	if got, want := workflowLines(metrics), workflowLines(cli.String()); got != want || want == "" {
+		t.Errorf("/debug/metrics workflow lines:\n%s\nflowrun -metrics:\n%s", got, want)
+	}
 	trace := get("/debug/trace")
 	if !strings.Contains(trace, "== request 1 flow ==") || !strings.Contains(trace, "flowrun [") {
 		t.Errorf("trace:\n%s", trace)
@@ -521,6 +533,28 @@ func TestDebugEndpoints(t *testing.T) {
 	if !strings.Contains(get("/healthz"), "ok") {
 		t.Error("healthz not ok")
 	}
+	// A translate miss on the fresh cache runs the three tools; a repeat
+	// is a hit and runs none.
+	for i := 1; i <= 2; i++ {
+		if status, _, raw := postJSON(t, ts.URL+"/v1/translate", `{}`); status != http.StatusOK {
+			t.Fatalf("translate %d: %d %s", i, status, raw)
+		}
+		if !slices.Contains(strings.Split(get("/debug/metrics"), "\n"), "counter backplane.tool_execs 3") {
+			t.Errorf("after translate %d: no line \"counter backplane.tool_execs 3\"", i)
+		}
+	}
+}
+
+// workflowLines keeps the workflow.* counter and histogram lines of a
+// text metrics export.
+func workflowLines(metrics string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "counter workflow.") || strings.HasPrefix(line, "hist workflow.") {
+			b.WriteString(line + "\n")
+		}
+	}
+	return b.String()
 }
 
 // TestSharedCacheAcrossRequests: the second identical translate request
