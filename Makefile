@@ -13,12 +13,13 @@ RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/i
 
 # The go test benchmarks run by `make bench`, all in the root package: the
 # experiment sweep, the scale trajectory (interchange read, end-to-end
-# serial route, schematic connectivity extraction), the warm flow cache
-# and the workflow engine's cost versus block count. Override BENCH /
+# serial route, schematic connectivity extraction), the warm flow cache,
+# the workflow engine's cost versus block count, the cd writer, and a
+# cached two-file /v1/check. Override BENCH /
 # BENCH_COUNT for a quicker or broader run.
 # Performance claims are measured by the bench/ harness (bench/ab.sh), not
 # here.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling|BenchmarkCDWrite|BenchmarkVetCacheHit
 BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora
@@ -62,9 +63,12 @@ race:
 # arena: allocations per net of an in-memory exchange read (ReadBytes),
 # allocations of a 40 KB cd read, and the cost of a short a/L parse. One
 # gate is a scaling bound: the bytes a faulted /v1/flow allocates per task
-# may grow at most 1.5x from 16 to 256 blocks.
+# may grow at most 1.5x from 16 to 256 blocks. Two pin what a cache hit
+# pays: the allocations of a gen-100 cd.Write (the migration key), and the
+# bytes a cached vet of a 0.5 MB file allocates, which must not grow with
+# the file (filecheck reads it into a pooled buffer).
 allocs:
-	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd
+	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd ./internal/filecheck
 
 # Coverage gate (see COVER_MIN / COVER_OBS_MIN above). One merged profile
 # over every package, then the same profile filtered to internal/obs —

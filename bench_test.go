@@ -12,6 +12,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"cadinterop/internal/backplane"
@@ -30,6 +32,7 @@ import (
 	"cadinterop/internal/place"
 	"cadinterop/internal/route"
 	"cadinterop/internal/schematic"
+	"cadinterop/internal/schematic/cd"
 	"cadinterop/internal/serve"
 	"cadinterop/internal/sim"
 	"cadinterop/internal/synth"
@@ -579,6 +582,50 @@ func BenchmarkSchematicExtract(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkCDWrite measures writing the source design a gen-100
+// migration keys its cache entry by: the cd.Write into sha256 that every
+// /v1/migrate hit and miss runs.
+func BenchmarkCDWrite(b *testing.B) {
+	d := workgen.Schematic(workgen.SchematicOptions{Instances: 100, Pages: 1 + 100/60, Seed: 42}).Design
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cd.Write(io.Discard, d); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVetCacheHit measures a cached /v1/check of two 5,000-net
+// interchange files, as warm-repeat sends it: each vet reads its file,
+// hashes it for the key and answers from the cache.
+func BenchmarkVetCacheHit(b *testing.B) {
+	dir := b.TempDir()
+	var files []string
+	for seed := int64(1); seed <= 2; seed++ {
+		var buf bytes.Buffer
+		if _, err := workgen.ScaleExchange(&buf, workgen.ScaleOptions{Nets: 5000, Seed: seed}); err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(dir, fmt.Sprintf("scale%d.edf", seed))
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, path)
+	}
+	req := serve.CheckRequest{Files: files}
+	cache := memo.New(nil)
+	if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
+		b.Fatal(err) // prime the cache outside the timed loop
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(cache.HitRate(), "hit-rate")
 }
 
 // BenchmarkRouteScale measures the router per net at three design sizes.

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cadinterop/internal/al"
 	"cadinterop/internal/diag"
@@ -181,28 +182,65 @@ func FilesOpts(w io.Writer, paths []string, opts Options) error {
 }
 
 // vetFile produces one file's rendered block and abort verdict, consulting
-// the cache when Options.Cache is set.
+// the cache when Options.Cache is set. A cached vet reads the file once,
+// into a buffer from vetBufs: it hashes those bytes for the key and, on a
+// miss, parses the same bytes, since a second read of the path could see
+// other content and store its verdict under this key.
 func vetFile(path string, opts Options) (string, error) {
 	if opts.Cache == nil {
 		diags, err := CheckFileOpts(path, opts)
 		return render(path, opts.Mode, diags, err)
 	}
-	data, rerr := os.ReadFile(path)
-	if rerr != nil {
+	buf := vetBufs.Get().(*bytes.Buffer)
+	defer putVetBuf(buf)
+	if rerr := readInto(buf, path); rerr != nil {
 		return render(path, opts.Mode, nil, rerr) // unreadable: uncached failure path
 	}
+	data := buf.Bytes()
 	key := vetKey(path, data, opts.Mode)
 	isVet := func(enc []byte) bool { _, _, ok := decodeVet(enc); return ok }
 	if enc, ok := opts.Cache.Get(key, isVet); ok {
 		text, err, _ := decodeVet(enc)
 		return text, err
 	}
-	// Parse the bytes that were hashed: a second read of the path could
-	// see other content and store its verdict under this key.
 	diags, err := CheckBytes(path, data, opts.Mode)
 	text, err := render(path, opts.Mode, diags, err)
 	opts.Cache.Put(key, encodeVet(text, err))
 	return text, err
+}
+
+// vetBufs recycles the buffers cached vets read files into, so a warm
+// vet of an unchanged file allocates nothing in proportion to its size.
+// Nothing a vet returns or stores refers to the buffer: the key is a
+// hash, and the diagnostics and the rendered block are copies.
+var vetBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledVetBuf is the largest buffer putVetBuf keeps, so one huge file
+// does not pin its size in the pool.
+const maxPooledVetBuf = 4 << 20
+
+func putVetBuf(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledVetBuf {
+		return
+	}
+	buf.Reset()
+	vetBufs.Put(buf)
+}
+
+// readInto reads the file at path into buf, grown first to the size Stat
+// reports (plus the spare bytes.Buffer.ReadFrom wants to see end of
+// file), so a regular file is read without growing buf again.
+func readInto(buf *bytes.Buffer, path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if fi, err := f.Stat(); err == nil {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(f)
+	return err
 }
 
 // vetKey is the content address of one file's vet: the file bytes, the

@@ -14,6 +14,7 @@ import (
 	"cadinterop/internal/diag"
 	"cadinterop/internal/schematic/cd"
 	"cadinterop/internal/serve"
+	"cadinterop/internal/workgen"
 )
 
 // TestReadBytesAllocs pins the allocations of a strict in-memory cd read:
@@ -40,5 +41,25 @@ func TestReadBytesAllocs(t *testing.T) {
 	t.Logf("%.0f allocations", avg)
 	if avg > 12300 {
 		t.Errorf("ReadBytes makes %.0f allocations, want <= 12300", avg)
+	}
+}
+
+// TestWriteAllocs pins the allocations of writing the source design a
+// gen-100 migration keys its cache entry by (cd.Write into sha256). Each
+// record is appended into the buffered writer's free space, so what is
+// left is the writer and the sorted name lists: 6 allocations on a 2-CPU
+// machine when the bound was set, where the fmt-based writer made 1,879.
+// A record that outgrew the buffer's free space would reallocate it, one
+// allocation per 4 KB of output, and fail the bound.
+func TestWriteAllocs(t *testing.T) {
+	d := workgen.Schematic(workgen.SchematicOptions{Instances: 100, Pages: 1 + 100/60, Seed: 42}).Design
+	avg := testing.AllocsPerRun(5, func() {
+		if err := cd.Write(io.Discard, d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocations", avg)
+	if avg > 8 {
+		t.Errorf("Write makes %.0f allocations, want <= 8", avg)
 	}
 }

@@ -29,16 +29,24 @@ var ErrFormat = errors.New("cd: format error")
 // Dialect is the Cadence-like dialect description.
 var Dialect = schematic.CD
 
-// Write serializes the design as s-expressions.
+// Write serializes the design as s-expressions. Each record is appended
+// into the buffered writer's free space and written back, so a record
+// costs no allocation. The bytes must stay those of the reference writer
+// (refwrite_test.go): their sha256 keys every cached migration.
 func Write(w io.Writer, d *schematic.Design) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "(design %s\n  (grid %s)\n", quoteSym(d.Name), strconv.Quote(d.Grid.Name))
+	b := append(record(bw), "(design "...)
+	b = appendSym(b, d.Name)
+	b = append(b, "\n  (grid "...)
+	b = strconv.AppendQuote(b, d.Grid.Name)
+	bw.Write(append(b, ")\n"...))
 	if len(d.Globals) > 0 {
-		fmt.Fprintf(bw, "  (globals")
+		b = append(record(bw), "  (globals"...)
 		for _, g := range d.Globals {
-			fmt.Fprintf(bw, " %s", strconv.Quote(g))
+			b = append(b, ' ')
+			b = strconv.AppendQuote(b, g)
 		}
-		fmt.Fprintf(bw, ")\n")
+		bw.Write(append(b, ")\n"...))
 	}
 	libNames := make([]string, 0, len(d.Libraries))
 	for n := range d.Libraries {
@@ -47,7 +55,8 @@ func Write(w io.Writer, d *schematic.Design) error {
 	sort.Strings(libNames)
 	for _, ln := range libNames {
 		lib := d.Libraries[ln]
-		fmt.Fprintf(bw, "  (library %s\n", quoteSym(ln))
+		b = append(record(bw), "  (library "...)
+		bw.Write(append(appendSym(b, ln), '\n'))
 		keys := make([]string, 0, len(lib.Symbols))
 		for k := range lib.Symbols {
 			keys = append(keys, k)
@@ -55,80 +64,141 @@ func Write(w io.Writer, d *schematic.Design) error {
 		sort.Strings(keys)
 		for _, k := range keys {
 			s := lib.Symbols[k]
-			fmt.Fprintf(bw, "    (symbol %s %s (body %d %d %d %d)\n", quoteSym(s.Name), quoteSym(s.View),
-				s.Body.Min.X, s.Body.Min.Y, s.Body.Max.X, s.Body.Max.Y)
+			b = append(record(bw), "    (symbol "...)
+			b = append(appendSym(b, s.Name), ' ')
+			b = append(appendSym(b, s.View), " (body"...)
+			b = appendInts(b, s.Body.Min.X, s.Body.Min.Y, s.Body.Max.X, s.Body.Max.Y)
+			bw.Write(append(b, ")\n"...))
 			for _, p := range s.Pins {
-				fmt.Fprintf(bw, "      (pin %s %d %d %s)\n", quoteSym(p.Name), p.Pos.X, p.Pos.Y, p.Dir)
+				b = append(record(bw), "      (pin "...)
+				b = appendInts(appendSym(b, p.Name), p.Pos.X, p.Pos.Y)
+				b = append(append(b, ' '), p.Dir.String()...)
+				bw.Write(append(b, ")\n"...))
 			}
 			for _, pr := range s.Props {
 				writeProp(bw, "      ", pr)
 			}
-			fmt.Fprintf(bw, "    )\n")
+			bw.WriteString("    )\n")
 		}
-		fmt.Fprintf(bw, "  )\n")
+		bw.WriteString("  )\n")
 	}
 	for _, cn := range d.CellNames() {
 		c := d.Cells[cn]
-		fmt.Fprintf(bw, "  (cell %s\n", quoteSym(cn))
+		b = append(record(bw), "  (cell "...)
+		bw.Write(append(appendSym(b, cn), '\n'))
 		for _, p := range c.Ports {
-			fmt.Fprintf(bw, "    (port %s %s)\n", quoteSym(p.Name), p.Dir)
+			b = append(record(bw), "    (port "...)
+			b = append(append(appendSym(b, p.Name), ' '), p.Dir.String()...)
+			bw.Write(append(b, ")\n"...))
 		}
 		for _, pg := range c.Pages {
-			fmt.Fprintf(bw, "    (page %d (size %d %d %d %d)\n", pg.Index,
-				pg.Size.Min.X, pg.Size.Min.Y, pg.Size.Max.X, pg.Size.Max.Y)
+			b = append(record(bw), "    (page"...)
+			b = append(appendInts(b, pg.Index), " (size"...)
+			b = appendInts(b, pg.Size.Min.X, pg.Size.Min.Y, pg.Size.Max.X, pg.Size.Max.Y)
+			bw.Write(append(b, ")\n"...))
 			for _, in := range pg.InstanceNames() {
 				inst := pg.Instances[in]
-				fmt.Fprintf(bw, "      (inst %s (of %s %s %s) (at %d %d) (orient %s)\n",
-					quoteSym(inst.Name), quoteSym(inst.Sym.Lib), quoteSym(inst.Sym.Name), quoteSym(inst.Sym.View),
-					inst.Placement.Offset.X, inst.Placement.Offset.Y, inst.Placement.Orient)
+				b = append(record(bw), "      (inst "...)
+				b = append(appendSym(b, inst.Name), " (of "...)
+				b = appendSymKey(b, inst.Sym)
+				b = append(b, ") (at"...)
+				b = appendInts(b, inst.Placement.Offset.X, inst.Placement.Offset.Y)
+				b = append(append(b, ") (orient "...), inst.Placement.Orient.String()...)
+				bw.Write(append(b, ")\n"...))
 				for _, pr := range inst.Props {
 					writeProp(bw, "        ", pr)
 				}
-				fmt.Fprintf(bw, "      )\n")
+				bw.WriteString("      )\n")
 			}
 			for _, wr := range pg.Wires {
-				fmt.Fprintf(bw, "      (wire")
+				b = append(record(bw), "      (wire"...)
 				for _, pt := range wr.Points {
-					fmt.Fprintf(bw, " (%d %d)", pt.X, pt.Y)
+					b = strconv.AppendInt(append(b, " ("...), int64(pt.X), 10)
+					b = append(appendInts(b, pt.Y), ')')
 				}
-				fmt.Fprintf(bw, ")\n")
+				bw.Write(append(b, ")\n"...))
 			}
 			for _, l := range pg.Labels {
-				fmt.Fprintf(bw, "      (label %s (at %d %d) (size %d) (offset %d %d))\n",
-					strconv.Quote(l.Text), l.At.X, l.At.Y, l.Size, l.Offset.X, l.Offset.Y)
+				b = append(record(bw), "      (label "...)
+				b = append(strconv.AppendQuote(b, l.Text), " (at"...)
+				b = append(appendInts(b, l.At.X, l.At.Y), ") (size"...)
+				b = append(appendInts(b, l.Size), ") (offset"...)
+				b = appendInts(b, l.Offset.X, l.Offset.Y)
+				bw.Write(append(b, "))\n"...))
 			}
 			for _, cx := range pg.Conns {
-				fmt.Fprintf(bw, "      (conn %s %s (at %d %d) (of %s %s %s) (orient %s))\n",
-					cx.Kind, strconv.Quote(cx.Name), cx.At.X, cx.At.Y,
-					quoteSym(cx.Sym.Lib), quoteSym(cx.Sym.Name), quoteSym(cx.Sym.View), cx.Orient)
+				b = append(append(record(bw), "      (conn "...), cx.Kind.String()...)
+				b = append(strconv.AppendQuote(append(b, ' '), cx.Name), " (at"...)
+				b = append(appendInts(b, cx.At.X, cx.At.Y), ") (of "...)
+				b = append(appendSymKey(b, cx.Sym), ") (orient "...)
+				bw.Write(append(append(b, cx.Orient.String()...), "))\n"...))
 			}
 			for _, tx := range pg.Texts {
-				fmt.Fprintf(bw, "      (text %s (at %d %d) (size %d) (baseline %d))\n",
-					strconv.Quote(tx.S), tx.At.X, tx.At.Y, tx.SizePts, tx.BaselineOffset)
+				b = append(record(bw), "      (text "...)
+				b = append(strconv.AppendQuote(b, tx.S), " (at"...)
+				b = append(appendInts(b, tx.At.X, tx.At.Y), ") (size"...)
+				b = append(appendInts(b, tx.SizePts), ") (baseline"...)
+				bw.Write(append(appendInts(b, tx.BaselineOffset), "))\n"...))
 			}
-			fmt.Fprintf(bw, "    )\n")
+			bw.WriteString("    )\n")
 		}
-		fmt.Fprintf(bw, "  )\n")
+		bw.WriteString("  )\n")
 	}
-	fmt.Fprintf(bw, ")\n")
+	bw.WriteString(")\n")
+	// bufio.Writer keeps the first error of the underlying writer and
+	// returns it from every later call, so Flush reports it.
 	return bw.Flush()
 }
 
-func writeProp(w io.Writer, indent string, p schematic.Property) {
-	vis := ""
+func writeProp(bw *bufio.Writer, indent string, p schematic.Property) {
+	b := append(append(record(bw), indent...), "(prop "...)
+	b = append(appendSym(b, p.Name), ' ')
+	b = append(strconv.AppendQuote(b, p.Value), " (at"...)
+	b = append(appendInts(b, p.At.X, p.At.Y), ") (size"...)
+	b = append(appendInts(b, p.Size), ')')
 	if p.Visible {
-		vis = " visible"
+		b = append(b, " visible"...)
 	}
-	fmt.Fprintf(w, "%s(prop %s %s (at %d %d) (size %d)%s)\n", indent,
-		quoteSym(p.Name), strconv.Quote(p.Value), p.At.X, p.At.Y, p.Size, vis)
+	bw.Write(append(b, ")\n"...))
 }
 
-// quoteSym emits an identifier, quoting only when necessary.
-func quoteSym(s string) string {
-	if s == "" || strings.ContainsAny(s, " ()\"';\t\n") {
-		return strconv.Quote(s)
+// recordSpace is the free space record keeps in the writer's buffer:
+// more than a generated design's longest record, far less than the
+// buffer.
+const recordSpace = 256
+
+// record returns bw's free space for one record to be appended into and
+// written back with bw.Write. It flushes first when less than recordSpace
+// is free, so a record rarely outgrows the space it is appended into and
+// reallocates. A failed flush is kept by bw and returned by Write.
+func record(bw *bufio.Writer) []byte {
+	if bw.Available() < recordSpace {
+		bw.Flush()
 	}
-	return s
+	return bw.AvailableBuffer()
+}
+
+// appendInts appends each of xs in decimal after a space.
+func appendInts(b []byte, xs ...int) []byte {
+	for _, x := range xs {
+		b = strconv.AppendInt(append(b, ' '), int64(x), 10)
+	}
+	return b
+}
+
+// appendSymKey appends a symbol reference as "lib name view".
+func appendSymKey(b []byte, k schematic.SymbolKey) []byte {
+	b = append(appendSym(b, k.Lib), ' ')
+	b = append(appendSym(b, k.Name), ' ')
+	return appendSym(b, k.View)
+}
+
+// appendSym appends an identifier, quoting only when necessary.
+func appendSym(b []byte, s string) []byte {
+	if s == "" || strings.ContainsAny(s, " ()\"';\t\n") {
+		return strconv.AppendQuote(b, s)
+	}
+	return append(b, s...)
 }
 
 // ReadOptions controls strictness.

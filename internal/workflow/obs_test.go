@@ -89,6 +89,56 @@ func TestHeldAutoPromotionOrdering(t *testing.T) {
 	}
 }
 
+// TestResetHeldEndsSpan: resetting a Held task ends the span of its parked
+// run at the reset tick, with an event naming the reset, so the span does
+// not stay open until the root ends; the rerun opens a span of its own.
+func TestResetHeldEndsSpan(t *testing.T) {
+	tpl := &Template{Name: "reset", Steps: []*StepDef{
+		{Name: "h", Action: FuncAction{Fn: func(*Ctx) int { return 0 }}, FinishRequires: []string{"gate"}},
+		{Name: "gate", Action: FuncAction{Fn: func(*Ctx) int { return 0 }}},
+	}}
+	in, err := Instantiate(tpl, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, root := observe(in)
+	if err := in.RunTask("h", "u"); err != nil {
+		t.Fatal(err)
+	}
+	if in.Tasks["h"].State != Held || in.clock != 2 {
+		t.Fatalf("h = %v at tick %d, want Held at tick 2", in.Tasks["h"].State, in.clock)
+	}
+	if err := in.Reset("h", "u"); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"gate", "h"} {
+		if err := in.RunTask(name, "u"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if in.Tasks["h"].State != Done {
+		t.Fatalf("h = %v after its rerun, want Done", in.Tasks["h"].State)
+	}
+	rec.End(root)
+	if err := rec.Check(); err != nil {
+		t.Fatalf("span invariants: %v", err)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteTree(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tree := buf.String()
+	for _, want := range []string{
+		"  h [0,2] state=held\n",
+		"    @2 rerun: reset by u\n",
+		"  h [4,6] state=done\n",
+	} {
+		if !strings.Contains(tree, want) {
+			t.Errorf("trace lacks %q:\n%s", want, tree)
+		}
+	}
+}
+
 // TestRunSummaryBlockedReasons: one quiescent instance exercising every
 // blocked-reason branch — held on a finish dependency, downstream of a
 // failed task, an unmet maturity check, and permission-gating.

@@ -880,12 +880,18 @@ func (in *Instance) Reset(name, role string) error {
 		in.jstate(name, NeedsRerun, 0)
 		return nil
 	}
+	msg := "reset by " + role
 	if t.State == Held {
+		// The parked run's span waits for a promotion that will not come:
+		// end it here, so a rerun opens a span of its own.
 		in.held--
+		in.tracer.Event(t.span, "rerun", msg)
+		in.tracer.End(t.span)
+		t.span = 0
 	}
 	t.State = Pending
 	t.heldFinal = Pending
-	in.log(name, "rerun", "reset by "+role)
+	in.log(name, "rerun", msg)
 	in.jstate(name, Pending, 0)
 	return nil
 }
