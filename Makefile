@@ -15,11 +15,11 @@ RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/i
 # experiment sweep, the scale trajectory (interchange read, end-to-end
 # serial route, schematic connectivity extraction), the warm flow cache,
 # the workflow engine's cost versus block count, the cd writer, and a
-# cached two-file /v1/check. Override BENCH /
+# two-file /v1/check cached and uncached. Override BENCH /
 # BENCH_COUNT for a quicker or broader run.
 # Performance claims are measured by the bench/ harness (bench/ab.sh), not
 # here.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling|BenchmarkCDWrite|BenchmarkVetCacheHit
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling|BenchmarkCDWrite|BenchmarkVetCacheHit|BenchmarkCheckUncached
 BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora

@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cadinterop/internal/backplane"
@@ -601,6 +602,67 @@ func BenchmarkCDWrite(b *testing.B) {
 // interchange files, as warm-repeat sends it: each vet reads its file,
 // hashes it for the key and answers from the cache.
 func BenchmarkVetCacheHit(b *testing.B) {
+	req := serve.CheckRequest{Files: checkFiles(b)}
+	cache := memo.New(nil)
+	if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
+		b.Fatal(err) // prime the cache outside the timed loop
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(cache.HitRate(), "hit-rate")
+}
+
+// BenchmarkCheckUncached measures the /v1/check that check-parse sends:
+// two 5,000-net interchange files vetted one after the other (jobs 1)
+// with no cache, so the exchange reader does the work. "strict" vets two
+// clean files. "lenient" vets a clean file beside a damaged copy of the
+// other: its trailer line cut and three (net ...) records emptied, as the
+// benchmark harness damages the files of check-parse's lenient requests.
+func BenchmarkCheckUncached(b *testing.B) {
+	files := checkFiles(b)
+	data, err := os.ReadFile(files[1])
+	if err != nil {
+		b.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	lines = lines[:len(lines)-1]
+	var nets []int
+	for i, l := range lines {
+		if strings.HasPrefix(strings.TrimSpace(l), "(net ") {
+			nets = append(nets, i)
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		lines[nets[k*len(nets)/4]] = "      (net)"
+	}
+	bad := filepath.Join(filepath.Dir(files[1]), "damaged.edf")
+	if err := os.WriteFile(bad, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		req  serve.CheckRequest
+	}{
+		{"strict", serve.CheckRequest{Files: files, Jobs: 1}},
+		{"lenient", serve.CheckRequest{Files: []string{files[0], bad}, Lenient: true, Jobs: 1}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := serve.Check(context.Background(), io.Discard, c.req, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// checkFiles writes two 5,000-net interchange files, seeds 1 and 2, the
+// size check-parse and warm-repeat send, and returns their paths.
+func checkFiles(b *testing.B) []string {
 	dir := b.TempDir()
 	var files []string
 	for seed := int64(1); seed <= 2; seed++ {
@@ -614,18 +676,7 @@ func BenchmarkVetCacheHit(b *testing.B) {
 		}
 		files = append(files, path)
 	}
-	req := serve.CheckRequest{Files: files}
-	cache := memo.New(nil)
-	if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
-		b.Fatal(err) // prime the cache outside the timed loop
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := serve.Check(context.Background(), io.Discard, req, cache); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(cache.HitRate(), "hit-rate")
+	return files
 }
 
 // BenchmarkRouteScale measures the router per net at three design sizes.

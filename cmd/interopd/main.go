@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8347", "listen address (daemon) or target host:port (client)")
-		workers  = flag.Int("j", 0, "global worker budget: engine runs executing at once (0 = GOMAXPROCS)")
+		workers  = flag.Int("j", 0, "global worker budget: engine runs executing at once, and the cap on a request's jobs (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", -1, "admission queue bound; -1 = one waiter per worker, 0 = shed when all workers busy")
 		deadline = flag.Duration("deadline", 0, "default per-request deadline (0 = none); a request's deadline_ms may shorten it but never lengthen it")
 		cacheMem = flag.Bool("cache", false, "share an in-memory memo cache across requests")

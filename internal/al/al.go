@@ -336,6 +336,11 @@ type parser struct {
 // its current chunks, for its next forms. Each slice handed out is capped
 // at its length, so an append to one parsed list copies instead of
 // writing into its neighbour.
+//
+// A Walker releases its scanner's arena at every record boundary, when
+// nothing parsed before it is in use any more: each current chunk is
+// carved again from its start, so once a chunk holds a whole record a
+// streamed read allocates no further chunks.
 type arena struct {
 	nodes chunks[PosTree]
 	vals  chunks[Value]
@@ -366,8 +371,8 @@ const (
 
 // chunks carves capped slices out of doubling backing arrays.
 type chunks[T any] struct {
-	free []T
-	size int
+	cur  []T // the current chunk
+	free []T // its tail not yet handed out
 }
 
 // take returns a zeroed slice of n elements with capacity n. A request
@@ -377,12 +382,27 @@ func (c *chunks[T]) take(n int) []T {
 		if n > maxChunk {
 			return make([]T, n)
 		}
-		c.size = min(max(2*c.size+1, minChunk, n), maxChunk)
-		c.free = make([]T, c.size)
+		c.cur = make([]T, min(max(2*len(c.cur)+1, minChunk, n), maxChunk))
+		c.free = c.cur
 	}
 	s := c.free[:n:n]
 	c.free = c.free[n:]
 	return s
+}
+
+// release zeroes the slots the current chunk handed out and carves it
+// again from its start. Earlier chunks are left to the collector.
+func (c *chunks[T]) release() {
+	clear(c.cur[:len(c.cur)-len(c.free)])
+	c.free = c.cur
+}
+
+// release hands every kind's current chunk back for the next parse. No
+// node, list or Kids slice the arena handed out may be used after it.
+func (a *arena) release() {
+	a.nodes.release()
+	a.vals.release()
+	a.kids.release()
 }
 
 func (a *arena) node(off int) *PosTree {

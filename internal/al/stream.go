@@ -3,6 +3,7 @@ package al
 import (
 	"errors"
 	"io"
+	"strings"
 )
 
 // Scanner reads s-expressions incrementally from an io.Reader without
@@ -153,7 +154,8 @@ func (s *Scanner) PeekInside() (tok string, err error) {
 // offsets are absolute. On a malformed expression the scanner's position
 // is unchanged — use Resync to skip past the damage. Successive forms
 // share the scanner's arena, so a short record costs a few slots of a
-// chunk rather than allocations of its own.
+// chunk rather than allocations of its own. A form stays valid while it
+// is held: only a Walker hands the arena back, at its record boundaries.
 func (s *Scanner) ReadForm() (Value, *PosTree, error) {
 	for {
 		p := parser{lexer: lexer{src: s.src, pos: s.pos, base: s.base}, ar: s.ar}
@@ -261,11 +263,10 @@ func (s *Scanner) Compact() {
 	if s.pos == 0 {
 		return
 	}
-	for i := 0; i < s.pos; i++ {
-		if s.src[i] == '\n' {
-			s.baseLine++
-			s.baseLineStart = s.base + i + 1
-		}
+	done := s.src[:s.pos]
+	if n := strings.Count(done, "\n"); n > 0 {
+		s.baseLine += n
+		s.baseLineStart = s.base + strings.LastIndexByte(done, '\n') + 1
 	}
 	s.base += s.pos
 	s.src = s.src[s.pos:]

@@ -17,6 +17,12 @@ import (
 // size. A grammar supplies only which heads stream, the record handlers
 // and its own end-of-input work.
 //
+// A walked record lives until its handler returns. At each record
+// boundary the walker hands the scanner's arena back for the next
+// record, so a handler keeps what it reads as strings and numbers, never
+// as a List, a PosTree or a Kids slice, and the arena, like the window,
+// holds one record whatever the file's size.
+//
 // The contract on broken input, the same for every format walked here:
 //   - A strict read stops at the first fault in document order. A parse
 //     error is reported without a position; its message carries the
@@ -117,7 +123,7 @@ func (w *Walker) Walk(head string, body func(open int) error) error {
 				return aerr
 			}
 			sc.SkipForm()
-			sc.Compact()
+			w.compact()
 			continue
 		}
 		if w.forms == 0 && tok == "(" {
@@ -126,7 +132,7 @@ func (w *Walker) Walk(head string, body func(open int) error) error {
 				if aerr := w.walkTop(off, body); aerr != nil {
 					return aerr
 				}
-				sc.Compact()
+				w.compact()
 				continue
 			}
 		}
@@ -134,14 +140,14 @@ func (w *Walker) Walk(head string, body func(open int) error) error {
 			if aerr := w.quarantine(off, err); aerr != nil {
 				return aerr
 			}
-			sc.Compact()
+			w.compact()
 			continue
 		}
 		w.forms++
 		if w.forms == 1 {
 			w.missing, w.missingPos = true, w.posAt(off)
 		}
-		sc.Compact()
+		w.compact()
 	}
 }
 
@@ -257,7 +263,8 @@ func (w *Walker) More(open int) (next int, ok bool, err error) {
 // Children walks the children of an open list through its close paren.
 // A child list whose head one of streams names is walked by that
 // stream's Walk; every other child is parsed as one record and handed to
-// record. The window is compacted after every child.
+// record, whose Value and PosTree live until record returns. The window
+// is compacted and the arena released after every child.
 func (w *Walker) Children(open int, streams []Stream, record func(Value, *PosTree) error) error {
 	sc := &w.sc
 	for {
@@ -280,7 +287,7 @@ func (w *Walker) Children(open int, streams []Stream, record func(Value, *PosTre
 			if aerr := walk(off); aerr != nil {
 				return aerr
 			}
-			sc.Compact()
+			w.compact()
 			continue
 		}
 		v, pt, err := sc.ReadForm()
@@ -288,14 +295,21 @@ func (w *Walker) Children(open int, streams []Stream, record func(Value, *PosTre
 			if aerr := w.quarantine(off, err); aerr != nil {
 				return aerr
 			}
-			sc.Compact()
+			w.compact()
 			continue
 		}
 		if aerr := record(v, pt); aerr != nil {
 			return aerr
 		}
-		sc.Compact()
+		w.compact()
 	}
+}
+
+// compact marks a record boundary: it discards the consumed window and
+// releases the arena, since no record parsed before it is still in use.
+func (w *Walker) compact() {
+	w.sc.Compact()
+	w.sc.ar.release()
 }
 
 // stream returns the Walk of the stream whose head opens the next child,

@@ -289,7 +289,9 @@ type exReader struct {
 // quarantine orphaned the reference). In strict mode the first dangling
 // reference aborts the read; in lenient mode the orphan is cascade-dropped
 // with a warning, so the partial design handed back still passes Validate —
-// no data is lost without a record either way.
+// no data is lost without a record either way. A netlist with nothing
+// dangling costs one unsorted pass; only a faulty one is walked again in
+// sorted order.
 func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 	report := func(format string, args ...any) error {
 		if rd.col.Mode == diag.Lenient {
@@ -306,6 +308,11 @@ func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 			nl.Top = ""
 		}
 	}
+	if !dangles(nl) {
+		return nil
+	}
+	// Something dangles: walk in sorted order, so the diagnostics and the
+	// deletions come out the same on every read.
 	for _, cn := range nl.CellNames() {
 		c, _ := nl.Cell(cn)
 		for _, in := range c.InstanceNames() {
@@ -343,6 +350,29 @@ func (rd *exReader) reconcile(nl *netlist.Netlist) error {
 		}
 	}
 	return nil
+}
+
+// dangles reports whether any instance names an undefined master, a port
+// its master lacks or a net its cell lacks. It neither sorts nor
+// allocates, so a clean netlist costs reconcile one pass over its maps.
+func dangles(nl *netlist.Netlist) bool {
+	for _, c := range nl.Cells {
+		for _, inst := range c.Instances {
+			master, ok := nl.Cells[inst.Master]
+			if !ok {
+				return true
+			}
+			for port, net := range inst.Conns {
+				if _, ok := master.Port(port); !ok {
+					return true
+				}
+				if _, ok := c.Nets[net]; !ok {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // manifestCounts decodes the integrity trailer's k=v manifest, skipping

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"runtime"
 	"testing"
 
 	"cadinterop/internal/diag"
@@ -17,11 +18,13 @@ import (
 	"cadinterop/internal/workgen"
 )
 
-// TestReadBytesAllocs pins the allocations of a strict in-memory cd read:
-// the 40,024-byte design that a 100-instance migration renders, read
-// back. It took 12,186 allocations (about 122 per instance) on a 2-CPU
-// machine when the bound was set, so one more allocation per record fails
-// it.
+// TestReadBytesAllocs pins the allocations and bytes of a strict
+// in-memory cd read: the 40,024-byte design that a 100-instance migration
+// renders, read back. It took 12,186 allocations (about 122 per instance)
+// on a 2-CPU machine when the count bound was set, so one more allocation
+// per record fails it. The walker releases the arena at every record
+// boundary, which brought the read from about 877,600 bytes to about
+// 353,000; the byte bound fails if the arena grows with the design again.
 func TestReadBytesAllocs(t *testing.T) {
 	var buf bytes.Buffer
 	req := serve.MigrateRequest{Gen: 100, Seed: 42}
@@ -41,6 +44,22 @@ func TestReadBytesAllocs(t *testing.T) {
 	t.Logf("%.0f allocations", avg)
 	if avg > 12300 {
 		t.Errorf("ReadBytes makes %.0f allocations, want <= 12300", avg)
+	}
+	const reads = 5
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reads; i++ {
+		if _, _, err := cd.ReadBytes(data, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRead := (after.TotalAlloc - before.TotalAlloc) / reads
+	t.Logf("%d bytes per read", perRead)
+	if perRead > 420000 {
+		t.Errorf("ReadBytes allocates %d bytes, want <= 420000", perRead)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -20,7 +21,8 @@ import (
 // Config sizes one Server.
 type Config struct {
 	// Workers is the global worker budget: at most this many requests
-	// execute engine work at once (0 = GOMAXPROCS).
+	// execute engine work at once (0 = GOMAXPROCS), and a request's jobs
+	// is capped at it.
 	Workers int
 	// Queue bounds the admission wait queue. -1 means one queued request
 	// per worker slot; 0 sheds the moment every slot is busy.
@@ -147,6 +149,7 @@ func New(cfg Config) (*Server, error) {
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/translate", post(s, "translate",
 		func(ctx context.Context, w *bytes.Buffer, req TranslateRequest) (*obs.Recorder, error) {
+			req.Jobs = requestJobs(req.Jobs, s.gate.Workers())
 			rec := obs.New(nil)
 			root := rec.Start(0, "serve.translate")
 			err := Translate(ctx, w, req.WithDefaults(), rec, s.cache)
@@ -155,6 +158,7 @@ func New(cfg Config) (*Server, error) {
 		}))
 	s.mux.HandleFunc("/v1/check", post(s, "check",
 		func(ctx context.Context, w *bytes.Buffer, req CheckRequest) (*obs.Recorder, error) {
+			req.Jobs = requestJobs(req.Jobs, s.gate.Workers())
 			rec := obs.New(nil)
 			root := rec.Start(0, "serve.check")
 			rec.AttrInt(root, "files", int64(len(req.Files)))
@@ -324,6 +328,18 @@ func requestDeadline(overrideMS int64, def time.Duration) time.Duration {
 		return def
 	}
 	return time.Duration(overrideMS) * time.Millisecond
+}
+
+// requestJobs resolves a request's fan-out: its jobs (0 = GOMAXPROCS),
+// capped at the gate's worker budget, as requestDeadline caps
+// deadline_ms. The budget then bounds the workers an admitted request
+// starts, not only the requests admitted. Output is byte-identical at
+// every jobs, so only the fan-out changes.
+func requestJobs(jobs, workers int) int {
+	if jobs <= 0 {
+		jobs = runtime.GOMAXPROCS(0)
+	}
+	return min(jobs, workers)
 }
 
 // count bumps the endpoint-scoped and server-global counters for one

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -386,6 +387,50 @@ func TestRequestDeadline(t *testing.T) {
 	for _, c := range cases {
 		if got := requestDeadline(c.clientMS, c.def); got != c.want {
 			t.Errorf("%s: requestDeadline(%d, %v) = %v, want %v", c.name, c.clientMS, c.def, got, c.want)
+		}
+	}
+}
+
+// TestJobsCappedAtWorkers: a server with one worker answers a translate
+// asking for eight jobs with the bytes of one asking for none, and the
+// request's fan-out ran on one worker: its par.workers gauge reads 1,
+// where the uncapped request ran one worker per tool, 3.
+func TestJobsCappedAtWorkers(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	status, want, raw := postJSON(t, ts.URL+"/v1/translate", `{}`)
+	if status != http.StatusOK || want.Exit != 0 {
+		t.Fatalf("translate {}: %d %s", status, raw)
+	}
+	status, got, raw := postJSON(t, ts.URL+"/v1/translate", `{"jobs":8}`)
+	if status != http.StatusOK {
+		t.Fatalf("translate {\"jobs\":8}: %d %s", status, raw)
+	}
+	if got != want {
+		t.Errorf("{\"jobs\":8} answered %+v, want the answer to {}: %+v", got, want)
+	}
+	s.mu.Lock()
+	rec := s.traces[len(s.traces)-1].rec
+	s.mu.Unlock()
+	if w := rec.Metrics().Gauge("par.workers").Last(); w != 1 {
+		t.Errorf("par.workers %d, want 1", w)
+	}
+}
+
+func TestRequestJobs(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		jobs, workers, want int
+	}{
+		{0, 64, procs},
+		{-3, 64, procs},
+		{0, 1, 1},
+		{8, 1, 1},
+		{2, 4, 2},
+		{4, 4, 4},
+	}
+	for _, c := range cases {
+		if got := requestJobs(c.jobs, c.workers); got != c.want {
+			t.Errorf("requestJobs(%d, %d) = %d, want %d", c.jobs, c.workers, got, c.want)
 		}
 	}
 }
