@@ -23,6 +23,7 @@ import (
 
 	"cadinterop/internal/experiments"
 	"cadinterop/internal/memo"
+	"cadinterop/internal/obs"
 	"cadinterop/internal/par"
 	"cadinterop/internal/serve"
 )
@@ -32,8 +33,10 @@ var update = flag.Bool("update", false, "rewrite testdata/golden from the curren
 // goldenDir holds one file per case: experiments/<ID>.txt is what
 // cmd/experiments prints for that experiment,
 // bplane/cells<N>-seed<S>-<mode>.txt is what cmd/bplane and
-// /v1/translate print for that run, and schemig/gen<N>-seed<S>.txt is
-// what `schemig -gen N -seed S -v` prints, and check/<mode>.txt is what
+// /v1/translate print for that run, bplane/cells48-seed11-metrics.txt is
+// one bplane run with its -trace text tree and -metrics counters,
+// schemig/gen<N>-seed<S>.txt is what `schemig -gen N -seed S -v`
+// prints, and check/<mode>.txt is what
 // `interop -check` prints in that mode over every file under checkDir,
 // each followed by the returned error, if any. flowrun/<case>.txt is what
 // flowrun prints for one of goldenFlowCases, then the span tree its
@@ -115,6 +118,8 @@ func renderGolden(t *testing.T, jobs int) map[string]string {
 			}
 		}
 	}
+	out[filepath.Join("bplane", "cells48-seed11-metrics.txt")] = renderTracedTranslate(
+		serve.TranslateRequest{Cells: 48, Seed: 11, Jobs: jobs})
 	for _, gen := range []int{10, 60, 150} {
 		for _, seed := range []int64{1, 42} {
 			missThenHit(filepath.Join("schemig", fmt.Sprintf("gen%d-seed%d.txt", gen, seed)), func(cache *memo.Cache) string {
@@ -158,6 +163,32 @@ func renderFlow(req serve.FlowRequest) string {
 	rec.Metrics().Write(&buf)
 	if err != nil {
 		fmt.Fprintf(&buf, "error: %v\n", err)
+	}
+	return buf.String()
+}
+
+// renderTracedTranslate renders one `bplane -trace T -metrics M` run, with
+// no cache: stdout, then the text span tree and the counter lines of the
+// metrics, each under a header line. The par.* instruments follow the
+// worker count, so they stay out. Cells 48 at seed 11 leaves nets
+// unrouted, so the router runs its rip-up passes and route.bfs.searches
+// counts their searches.
+func renderTracedTranslate(req serve.TranslateRequest) string {
+	var buf bytes.Buffer
+	rec := obs.New(nil)
+	if err := serve.Translate(context.Background(), &buf, req, rec, nil); err != nil {
+		fmt.Fprintf(&buf, "error: %v\n", err)
+	}
+	rec.Close()
+	buf.WriteString("-- trace --\n")
+	rec.WriteTree(&buf)
+	buf.WriteString("-- metrics --\n")
+	var metrics bytes.Buffer
+	rec.Metrics().Write(&metrics)
+	for _, line := range strings.SplitAfter(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "counter ") && !strings.HasPrefix(line, "counter par.") {
+			buf.WriteString(line)
+		}
 	}
 	return buf.String()
 }
