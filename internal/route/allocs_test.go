@@ -17,7 +17,7 @@ import (
 // search; the bound here is exact so a scratch regression fails loudly.
 func TestBFSAllocs(t *testing.T) {
 	g := NewGrid(geom.R(0, 0, 400, 400), 10)
-	sc := newSearchScratch(2*g.W*g.H, nil)
+	sc := newSearchScratch(len(g.own), nil)
 	sig := g.tab.intern("n")
 	claim(g, sig, node{0, 5, 5}, Rule{WidthTracks: 1})
 	rule := Rule{WidthTracks: 1, SpacingTracks: 1}

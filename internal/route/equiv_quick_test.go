@@ -38,7 +38,7 @@ func view(res *Result, rules map[string]Rule) routedView {
 // (refroute_test.go) on random workgen designs, with and without the
 // congestion-aware cost (Options.PlainBFS) — segments, wirelength, vias,
 // failures, shield length, the full DRC audit, and every decoded grid
-// cell.
+// cell. Fixed inputs that reach a cut rip-up attempt run first.
 func TestQuickRouterEquivalence(t *testing.T) {
 	prop := func(seed uint16, cells, crit, kos uint8, plain bool) bool {
 		c := workgen.PhysOptions{
@@ -108,6 +108,11 @@ func TestQuickRouterEquivalence(t *testing.T) {
 		}
 		return true
 	}
+	for _, c := range ripupCutCases {
+		if !prop(c.seed, c.cells, c.crit, c.kos, c.plain) {
+			t.Errorf("fixed case %+v diverges from the string reference", c)
+		}
+	}
 	cfg := &quick.Config{MaxCount: 20}
 	if testing.Short() {
 		cfg.MaxCount = 5
@@ -115,6 +120,21 @@ func TestQuickRouterEquivalence(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// ripupCutCases are TestQuickRouterEquivalence inputs on which Route ends
+// rip-up attempts early. Each leaves nets unrouted on the first pass, and
+// later attempts reach the best attempt's failure count before their last
+// net. An attempt cut one failure sooner, or a first pass cut at all,
+// changes the result on every one of them.
+var ripupCutCases = []struct {
+	seed             uint16
+	cells, crit, kos uint8
+	plain            bool
+}{
+	{seed: 3, cells: 0, crit: 3, kos: 0},
+	{seed: 4, cells: 4, crit: 4, kos: 1, plain: true},
+	{seed: 14, cells: 0, crit: 4, kos: 2},
 }
 
 // TestReservedNetNames: the interning bugfix — user net names colliding

@@ -78,13 +78,25 @@ type Result struct {
 // owner ID (see intern.go for the encoding; Owner decodes back to the
 // string vocabulary "" = free, "#" = blocked, "!"+net = shield, "~"+net =
 // clearance halo, "?"+net = pending pin reservation).
+//
+// Both layers live in one slab, own. Each layer is (W+2)×(H+2) cells: the
+// die plus a frame of cellBlocked one cell wide, which nothing ever
+// writes. A search step from a die cell therefore always lands inside the
+// slab, and leaving the die reads as blocked, so bfs moves by a flat
+// offset with no bounds check (DESIGN.md §5c). index maps a die cell to
+// its slab index; W, H and every exported signature stay in die
+// coordinates.
 type Grid struct {
 	W, H  int
 	Pitch int
 	tab   *internTable
-	own   [2][]int32
-	// pin holds per-cell pin flags (pinPad, pinNear) for both layers. Only
-	// reservePins writes it, so it is fixed for the whole of a Route.
+	own   []int32
+	// stride is the padded row length (W+2) and layer the padded layer
+	// size ((W+2)×(H+2)); layer 1 starts at own[layer].
+	stride, layer int
+	// pin holds per-cell pin flags (pinPad, pinNear), one padded layer
+	// indexed like layer 0 of own. Only reservePins writes it, so it is
+	// fixed for the whole of a Route.
 	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
@@ -103,41 +115,66 @@ const (
 func NewGrid(die geom.Rect, pitch int) *Grid {
 	w := die.Dx()/pitch + 1
 	h := die.Dy()/pitch + 1
-	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(), pin: make([]uint8, w*h)}
-	for l := 0; l < 2; l++ {
-		g.own[l] = make([]int32, w*h)
+	stride := w + 2
+	layer := stride * (h + 2)
+	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(),
+		own: make([]int32, 2*layer), stride: stride, layer: layer, pin: make([]uint8, layer)}
+	for base := 0; base < len(g.own); base += layer {
+		for x := 0; x < stride; x++ {
+			g.own[base+x] = cellBlocked
+			g.own[base+layer-stride+x] = cellBlocked
+		}
+		for row := base + stride; row < base+layer-stride; row += stride {
+			g.own[row] = cellBlocked
+			g.own[row+stride-1] = cellBlocked
+		}
 	}
 	return g
 }
 
+// index returns the slab index of die cell (x, y) on layer l.
+func (g *Grid) index(l, x, y int) int {
+	return l*g.layer + (y+1)*g.stride + x + 1
+}
+
+// nodeAt returns the die cell at slab index i.
+func (g *Grid) nodeAt(i int32) node {
+	n := node{}
+	if int(i) >= g.layer {
+		n.l = 1
+		i -= int32(g.layer)
+	}
+	n.y = int(i)/g.stride - 1
+	n.x = int(i)%g.stride - 1
+	return n
+}
+
+// inDie reports whether (x, y) is a die cell.
+func (g *Grid) inDie(x, y int) bool {
+	return x >= 0 && y >= 0 && x < g.W && y < g.H
+}
+
 // isPin reports whether a cell is a pin landing pad.
 func (g *Grid) isPin(x, y int) bool {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+	if !g.inDie(x, y) {
 		return false
 	}
-	return g.pin[y*g.W+x]&pinPad != 0
+	return g.pin[g.index(0, x, y)]&pinPad != 0
 }
 
 // markPin flags an in-die cell as a pin pad and it and its four
-// neighbours as near a pin; pins outside the die mark nothing.
+// neighbours as near a pin; pins outside the die mark nothing. A
+// neighbour outside the die is a frame cell, whose flags nothing reads.
 func (g *Grid) markPin(x, y int) {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+	if !g.inDie(x, y) {
 		return
 	}
-	i := y*g.W + x
+	i := g.index(0, x, y)
 	g.pin[i] |= pinPad | pinNear
-	if x > 0 {
-		g.pin[i-1] |= pinNear
-	}
-	if x+1 < g.W {
-		g.pin[i+1] |= pinNear
-	}
-	if y > 0 {
-		g.pin[i-g.W] |= pinNear
-	}
-	if y+1 < g.H {
-		g.pin[i+g.W] |= pinNear
-	}
+	g.pin[i-1] |= pinNear
+	g.pin[i+1] |= pinNear
+	g.pin[i-g.stride] |= pinNear
+	g.pin[i+g.stride] |= pinNear
 }
 
 // Owner returns the occupant of a cell as a string; out-of-bounds and
@@ -150,17 +187,17 @@ func (g *Grid) Owner(layer, x, y int) string {
 
 // owner returns the interned occupant of a cell.
 func (g *Grid) owner(layer, x, y int) int32 {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+	if !g.inDie(x, y) {
 		return cellBlocked
 	}
-	return g.own[layer][y*g.W+x]
+	return g.own[g.index(layer, x, y)]
 }
 
 func (g *Grid) set(layer, x, y int, id int32) {
-	if x < 0 || y < 0 || x >= g.W || y >= g.H {
+	if !g.inDie(x, y) {
 		return
 	}
-	g.own[layer][y*g.W+x] = id
+	g.own[g.index(layer, x, y)] = id
 }
 
 // Route connects every multi-pin net of the design's top cell.
@@ -180,9 +217,9 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 	g := freshGrid(d, opts, netPins)
 	// One scratch serves every search of every pass: rip-up grids have the
 	// same size, and searches run one at a time.
-	sc := newSearchScratch(2*g.W*g.H, searches)
+	sc := newSearchScratch(len(g.own), searches)
 	res := &Result{Segments: make(map[string][]Segment), grid: g}
-	routeAll(g, sc, res, nets, netPins, opts)
+	routeAll(g, sc, res, nets, netPins, opts, len(nets))
 	if len(res.Failed) == 0 {
 		recordRouteMetrics(opts.Metrics, res, len(nets), 0)
 		return res, nil
@@ -190,7 +227,11 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 
 	// Rip-up and retry: rebuild the fabric from scratch with the failed
 	// nets promoted to the front of the order (they get virgin fabric), up
-	// to a few passes; keep the best attempt.
+	// to a few passes; keep the best attempt. An attempt is kept only with
+	// fewer failed nets than best, and the next order depends only on the
+	// last order and best.Failed, so an attempt ends at its
+	// len(best.Failed)-th failed net: nothing after it can change the
+	// result (DESIGN.md §5c).
 	best := res
 	order := nets
 	passes := 0
@@ -204,7 +245,7 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 		}
 		g2 := freshGrid(d, opts, netPins)
 		attempt := &Result{Segments: make(map[string][]Segment), grid: g2}
-		routeAll(g2, sc, attempt, order, netPins, opts)
+		routeAll(g2, sc, attempt, order, netPins, opts, len(best.Failed))
 		if len(attempt.Failed) < len(best.Failed) {
 			best = attempt
 		}
@@ -328,12 +369,16 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes every net in order on the grid, booking failures.
-func routeAll(g *Grid, sc *searchScratch, res *Result, order []string, netPins map[string][]geom.Point, opts Options) {
+// routeAll routes the nets in order on the grid, booking failures, and
+// stops at the maxFailed-th failed net.
+func routeAll(g *Grid, sc *searchScratch, res *Result, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) {
 	for _, net := range order {
 		if err := routeNet(g, sc, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
 			res.Failed = append(res.Failed, net)
 			res.FailReasons = append(res.FailReasons, err.Error())
+			if len(res.Failed) == maxFailed {
+				return
+			}
 		}
 	}
 }
@@ -569,7 +614,10 @@ func usable(g *Grid, sig int32, n node, rule Rule) bool {
 // bfs is a uniform-cost search from the target back to any cell already
 // owned by net. The cost function is congestion-aware: vias cost extra and
 // cells adjacent to pin landing pads are discouraged, so wires prefer open
-// fabric and leave pin escapes for the nets that need them. All visited/
+// fabric and leave pin escapes for the nets that need them. It walks slab
+// indices: a step along layer 0 is ±1, along layer 1 ±stride, and a via
+// ±layer, and the blocked frame stops it at the die's edge, so only window
+// rules (usable) and the returned path decode coordinates. All visited/
 // cost/frontier state lives in sc, the route's one search scratch
 // (scratch.go); the only allocation per call is the returned path, which
 // the caller retains.
@@ -587,11 +635,10 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 	// owner test below has just accepted, so it is called only when the
 	// rule needs one.
 	window := rule.WidthTracks > 1 || rule.SpacingTracks > 0
-	pins := g.pin
-	w := g.W
-	lsize := w * g.H
+	own, pins := g.own, g.pin
+	layer, stride := int32(g.layer), int32(g.stride)
 	sc.reset()
-	start := int32(from.l*lsize + from.y*w + from.x)
+	start := int32(g.index(from.l, from.x, from.y))
 	sc.setDist(start, 0, -1)
 	sc.push(0, start)
 	maxCost := 0
@@ -603,50 +650,46 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 			bkt := sc.buckets[d]
 			ci := bkt[len(bkt)-1]
 			sc.buckets[d] = bkt[:len(bkt)-1]
-			if sc.dist[ci] != int32(d) {
+			if !sc.settled(ci, d) {
 				continue // stale entry
 			}
-			cur := node{int(ci) / lsize, int(ci) % w, (int(ci) % lsize) / w}
-			if g.owner(cur.l, cur.x, cur.y) == sig {
-				// Reconstruct target-to-net order: count first, then fill,
-				// so the path is a single right-sized allocation.
-				steps := 1
-				for i := ci; sc.prev[i] >= 0; i = sc.prev[i] {
-					steps++
-				}
-				path := make([]node, steps)
-				i := ci
-				for j := 0; ; j++ {
-					path[j] = node{int(i) / lsize, int(i) % w, (int(i) % lsize) / w}
-					p := sc.prev[i]
-					if p < 0 {
-						break
-					}
-					i = p
-				}
-				return path, nil
+			if own[ci] == sig {
+				return sc.path(g, ci), nil
 			}
-			for t := 0; t < 3; t++ {
-				nb := neighbor(cur, t)
-				owner := g.owner(nb.l, nb.x, nb.y)
-				// An accepted owner means nb is inside the die: every
-				// out-of-bounds cell reads as blocked.
-				if !(owner == sig || (owner == cellEmpty || ownCell(owner, sig)) && (!window || usable(g, sig, nb, rule))) {
-					continue
+			// Moves in a fixed order: back along the layer's direction,
+			// forward along it, then the via.
+			along, via := int32(1), layer
+			if ci >= layer {
+				along, via = stride, -layer
+			}
+			for t, ni := range [3]int32{ci - along, ci + along, ci + via} {
+				owner := own[ni]
+				// The frame reads as blocked, so an accepted owner means
+				// ni is a die cell.
+				if owner != sig {
+					if owner != cellEmpty && !ownCell(owner, sig) {
+						continue
+					}
+					if window && !usable(g, sig, g.nodeAt(ni), rule) {
+						continue
+					}
 				}
 				step := 1
-				if nb.l != cur.l {
+				if t == 2 {
 					step = viaCost
 				}
-				if owner != sig && pins[nb.y*w+nb.x]&pinNear != 0 {
+				pi := ni
+				if pi >= layer {
+					pi -= layer
+				}
+				if owner != sig && pins[pi]&pinNear != 0 {
 					step += pinAdjCost
 				}
 				nd := d + step
-				ni := int32(nb.l*lsize + nb.y*w + nb.x)
-				if sc.visited(ni) && int(sc.dist[ni]) <= nd {
+				if sc.reached(ni, nd) {
 					continue
 				}
-				sc.setDist(ni, int32(nd), ci)
+				sc.setDist(ni, nd, ci)
 				sc.push(nd, ni)
 				if nd > maxCost {
 					maxCost = nd
@@ -655,26 +698,6 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 		}
 	}
 	return nil, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
-}
-
-// neighbor yields legal move t (0,1 = along the layer's direction, 2 =
-// via), matching the expansion order of the original slice-returning
-// helper without its per-visit allocation.
-func neighbor(n node, t int) node {
-	switch t {
-	case 0:
-		if n.l == 0 {
-			return node{0, n.x - 1, n.y}
-		}
-		return node{1, n.x, n.y - 1}
-	case 1:
-		if n.l == 0 {
-			return node{0, n.x + 1, n.y}
-		}
-		return node{1, n.x, n.y + 1}
-	default:
-		return node{1 - n.l, n.x, n.y}
-	}
 }
 
 // addShields occupies free tracks adjacent to the net's wires with shield

@@ -291,7 +291,7 @@ func TestPinAdjacencyAtBorders(t *testing.T) {
 					if x < 0 || y < 0 || x >= w || y >= h {
 						continue
 					}
-					got := g.pin[y*w+x]&pinNear != 0
+					got := g.pin[g.index(0, x, y)]&pinNear != 0
 					if want := refNearPin(ref, node{0, x, y}); got != want {
 						t.Errorf("near-pin flag at (%d,%d) = %v, want %v", x, y, got, want)
 					}

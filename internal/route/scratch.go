@@ -2,19 +2,23 @@ package route
 
 import "cadinterop/internal/obs"
 
-// Search scratch. Every buffer is a flat slice indexed by
-// (layer*H + y)*W + x and validity is tracked with epoch stamps:
-// "clearing" a buffer is a single counter increment, not an O(cells) wipe.
-// Route allocates one scratch and every search of every pass reuses it —
-// rip-up grids have the same size and searches run one at a time — so a
-// search allocates nothing but the path it returns (see DESIGN.md §5c).
+// Search scratch. Every buffer is a flat slice indexed like Grid.own and
+// validity is tracked with epoch stamps: "clearing" a buffer is a single
+// counter increment, not an O(cells) wipe. Route allocates one scratch and
+// every search of every pass reuses it — rip-up grids have the same size
+// and searches run one at a time — so a search allocates nothing but the
+// path it returns (see DESIGN.md §5c).
 
 // searchScratch holds one bfs invocation's visited/cost/frontier state.
 type searchScratch struct {
-	dist  []int32  // cost to reach a node; valid iff stamp[i] == epoch
-	prev  []int32  // predecessor flat index (-1 = search root)
-	stamp []uint32 // epoch stamp guarding dist/prev
-	epoch uint32
+	// seen packs a cell's search epoch (high 32 bits) and its cost (low 32
+	// bits) into one word, so one load answers both "reached in this
+	// search?" and "at what cost?". Costs are never negative.
+	seen []uint64
+	prev []int32 // predecessor slab index (-1 = search root); valid iff seen is current
+	// epoch is the current search's stamp, already shifted into seen's
+	// high half.
+	epoch uint64
 	// buckets is the small-integer-cost frontier queue, indexed by cost.
 	// Inner slices are reused across searches.
 	buckets [][]int32
@@ -23,22 +27,21 @@ type searchScratch struct {
 	searches *obs.Counter
 }
 
-// newSearchScratch sizes a scratch for n cells (both layers of a grid).
+// newSearchScratch sizes a scratch for n cells (len(Grid.own)).
 func newSearchScratch(n int, searches *obs.Counter) *searchScratch {
 	return &searchScratch{
-		dist:     make([]int32, n),
+		seen:     make([]uint64, n),
 		prev:     make([]int32, n),
-		stamp:    make([]uint32, n),
 		searches: searches,
 	}
 }
 
 // reset invalidates all per-search state in O(buckets) time.
 func (sc *searchScratch) reset() {
-	sc.epoch++
+	sc.epoch += 1 << 32
 	if sc.epoch == 0 { // stamp wraparound: wipe once every 2^32 searches
-		clear(sc.stamp)
-		sc.epoch = 1
+		clear(sc.seen)
+		sc.epoch = 1 << 32
 	}
 	for i := range sc.buckets {
 		sc.buckets[i] = sc.buckets[i][:0]
@@ -54,12 +57,40 @@ func (sc *searchScratch) push(d int, i int32) {
 	sc.buckets[d] = append(sc.buckets[d], i)
 }
 
-// visited reports whether a node has a valid distance this search.
-func (sc *searchScratch) visited(i int32) bool { return sc.stamp[i] == sc.epoch }
+// reached reports whether a node was reached this search at cost d or
+// less. A stamp from an earlier search is below epoch, so the unsigned
+// difference wraps past any cost.
+func (sc *searchScratch) reached(i int32, d int) bool {
+	return sc.seen[i]-sc.epoch <= uint64(d)
+}
 
-// setDist records a node's distance and predecessor.
-func (sc *searchScratch) setDist(i, d, from int32) {
-	sc.dist[i] = d
+// settled reports whether a node popped from the cost-d bucket still has
+// cost d, that is, no cheaper push superseded the entry.
+func (sc *searchScratch) settled(i int32, d int) bool {
+	return sc.seen[i] == sc.epoch|uint64(d)
+}
+
+// setDist records a node's cost and predecessor.
+func (sc *searchScratch) setDist(i int32, d int, from int32) {
+	sc.seen[i] = sc.epoch | uint64(d)
 	sc.prev[i] = from
-	sc.stamp[i] = sc.epoch
+}
+
+// path returns the search path that met the net at slab index i: path[0]
+// is that cell and the last node the search's start, the target pin. It
+// counts first, then fills, so the path is a single right-sized
+// allocation.
+func (sc *searchScratch) path(g *Grid, i int32) []node {
+	steps := 1
+	for j := i; sc.prev[j] >= 0; j = sc.prev[j] {
+		steps++
+	}
+	path := make([]node, steps)
+	for j := 0; ; j++ {
+		path[j] = g.nodeAt(i)
+		if sc.prev[i] < 0 {
+			return path
+		}
+		i = sc.prev[i]
+	}
 }
