@@ -526,7 +526,9 @@ func depthError(off int) error {
 // an optional sign, a digit or '.', or, in any case, inf, infinity or
 // nan. That is a superset of its syntax, so skipping ParseFloat for the
 // rest changes no result; it spares symbols the *NumError a failed
-// ParseFloat allocates.
+// ParseFloat allocates. ParseFloat folds only ASCII case, so a word it
+// accepts starts with i, I, n or N, and any other symbol is rejected on
+// its first byte without a case-folded compare.
 func mayBeNumber(tok string) bool {
 	s := tok
 	if s[0] == '+' || s[0] == '-' {
@@ -535,10 +537,15 @@ func mayBeNumber(tok string) bool {
 	if s == "" {
 		return false
 	}
-	if c := s[0]; '0' <= c && c <= '9' || c == '.' {
+	switch c := s[0]; {
+	case '0' <= c && c <= '9' || c == '.':
 		return true
+	case c == 'i' || c == 'I':
+		return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity")
+	case c == 'n' || c == 'N':
+		return strings.EqualFold(s, "nan")
 	}
-	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ package al
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,30 @@ func TestParseAtoms(t *testing.T) {
 		}
 		if !Equal(got, c.want) {
 			t.Errorf("ParseOne(%q) = %s, want %s", c.src, got.Repr(), c.want.Repr())
+		}
+	}
+}
+
+// TestMayBeNumberCoversParseFloat: mayBeNumber must hold wherever
+// strconv.ParseFloat succeeds, or a number would read as a symbol. The
+// table has each word ParseFloat accepts in mixed case and under both
+// signs, and Unicode look-alikes whose first byte is not ASCII, which
+// ParseFloat rejects and mayBeNumber must reject on that byte.
+func TestMayBeNumberCoversParseFloat(t *testing.T) {
+	for _, tok := range []string{
+		"0", "42", "-3", "+2.5", ".5", "-.5", "5.", "1e5", "1e400", "-1e-400", "0x1p-2", "1_0",
+		"inf", "Inf", "INF", "+inf", "-Inf", "infinity", "Infinity", "-INFINITY", "+infinity",
+		"nan", "NaN", "NAN", "nAn", "+nan", "-NaN", "Infinit", "infx", "nanx", "n", "i",
+		"ınf", "İnf", "-ınf", "+İnf", "ınfınıty", "İNFİNİTY", "nаn", "ｉｎｆ", "ｎａｎ",
+		"-", "+", "a", "foo-bar", "net1", "x.y",
+	} {
+		_, err := strconv.ParseFloat(tok, 64)
+		got := mayBeNumber(tok)
+		if err == nil && !got {
+			t.Errorf("mayBeNumber(%q) = false, but ParseFloat accepts it", tok)
+		}
+		if c := strings.TrimLeft(tok, "+-"); c != "" && c[0] >= 0x80 && got {
+			t.Errorf("mayBeNumber(%q) = true for a token whose first byte after the sign is not ASCII", tok)
 		}
 	}
 }
