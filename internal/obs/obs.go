@@ -383,6 +383,18 @@ func (r *Recorder) Merge(parent SpanID, child *Recorder) {
 	}
 }
 
+// Child returns an empty recorder on its own StepClock that records its
+// instruments into r's registry. A sub-operation traces into the child;
+// the caller then Merges the child's spans under a span of its own, and
+// the counters and gauges the sub-operation set are already r's. Nil for
+// a nil r.
+func (r *Recorder) Child() *Recorder {
+	if r == nil {
+		return nil
+	}
+	return &Recorder{clock: &StepClock{}, reg: r.reg}
+}
+
 func clampTick(t, ceil int64) int64 {
 	if t > ceil {
 		return ceil

@@ -26,6 +26,9 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.End(id)
 	r.Close()
 	r.Merge(0, New(nil))
+	if r.Child() != nil {
+		t.Error("nil recorder has a child")
+	}
 	if r.SpanCount() != 0 {
 		t.Error("nil recorder has spans")
 	}

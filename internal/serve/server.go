@@ -152,7 +152,12 @@ func New(cfg Config) (*Server, error) {
 			req.Jobs = requestJobs(req.Jobs, s.gate.Workers())
 			rec := obs.New(nil)
 			root := rec.Start(0, "serve.translate")
-			err := Translate(ctx, w, req.WithDefaults(), rec, s.cache)
+			// Translate opens its spans at the top of the recorder it is
+			// given, as bplane -trace shows them. Merged under the request
+			// span, they nest there and the span's end covers them.
+			eng := rec.Child()
+			err := Translate(ctx, w, req.WithDefaults(), eng, s.cache)
+			rec.Merge(root, eng)
 			rec.End(root)
 			return rec, err
 		}))

@@ -11,12 +11,16 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"cadinterop/internal/obs"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -587,6 +591,46 @@ func TestDebugEndpoints(t *testing.T) {
 		if !slices.Contains(strings.Split(get("/debug/metrics"), "\n"), "counter backplane.tool_execs 3") {
 			t.Errorf("after translate %d: no line \"counter backplane.tool_execs 3\"", i)
 		}
+	}
+}
+
+// TestTranslateTraceNests: on /debug/trace, a translate miss is one tree.
+// The request span holds the spans `bplane -trace` writes for the same
+// run, one level down and one tick later, and it ends where they end, so
+// it covers the request's work. The recorder passes Check.
+func TestTranslateTraceNests(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	if status, _, raw := postJSON(t, ts.URL+"/v1/translate", `{}`); status != http.StatusOK {
+		t.Fatalf("translate: %d %s", status, raw)
+	}
+	s.mu.Lock()
+	rec := s.traces[len(s.traces)-1].rec
+	s.mu.Unlock()
+	if err := rec.Check(); err != nil {
+		t.Fatalf("request trace: %v", err)
+	}
+	var got bytes.Buffer
+	rec.WriteTree(&got)
+
+	cli := obs.New(nil)
+	if err := Translate(context.Background(), io.Discard, TranslateRequest{}.WithDefaults(), cli, nil); err != nil {
+		t.Fatal(err)
+	}
+	var tree bytes.Buffer
+	cli.WriteTree(&tree)
+	end := 0
+	ticks := regexp.MustCompile(`\[(\d+),(\d+)\]`)
+	shifted := ticks.ReplaceAllStringFunc(tree.String(), func(m string) string {
+		sub := ticks.FindStringSubmatch(m)
+		a, _ := strconv.Atoi(sub[1])
+		b, _ := strconv.Atoi(sub[2])
+		end = max(end, b+1)
+		return fmt.Sprintf("[%d,%d]", a+1, b+1)
+	})
+	want := fmt.Sprintf("serve.translate [1,%d]\n", end) +
+		strings.TrimSuffix(regexp.MustCompile(`(?m)^`).ReplaceAllString(shifted, "  "), "  ")
+	if !strings.HasPrefix(tree.String(), "backplane [") || got.String() != want {
+		t.Errorf("/debug/trace tree:\n%s\nwant:\n%s", got.String(), want)
 	}
 }
 
