@@ -14,12 +14,13 @@ RACE_EXTRA = cadinterop/internal/workflow cadinterop/internal/fault cadinterop/i
 # The go test benchmarks run by `make bench`, all in the root package: the
 # experiment sweep, the scale trajectory (interchange read, end-to-end
 # serial route, schematic connectivity extraction), the warm flow cache,
-# the workflow engine's cost versus block count, the cd writer, and a
-# two-file /v1/check cached and uncached. Override BENCH /
+# the workflow engine's cost versus block count, the cd writer, a
+# two-file /v1/check cached and uncached, and translate-cold's 16
+# designs translated serially with no cache. Override BENCH /
 # BENCH_COUNT for a quicker or broader run.
 # Performance claims are measured by the bench/ harness (bench/ab.sh), not
 # here.
-BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling|BenchmarkCDWrite|BenchmarkVetCacheHit|BenchmarkCheckUncached
+BENCH ?= BenchmarkExp9BackplaneLoss|BenchmarkExp3SchedulerDivergence|BenchmarkExpAll|BenchmarkObsOverhead|BenchmarkExchangeScale|BenchmarkRouteScale|BenchmarkSchematicExtract|BenchmarkFlowCacheWarm|BenchmarkWorkflowScaling|BenchmarkCDWrite|BenchmarkVetCacheHit|BenchmarkCheckUncached|BenchmarkTranslateCold
 BENCH_COUNT ?= 5
 
 # Packages with native fuzz targets and committed seed corpora

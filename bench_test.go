@@ -679,6 +679,29 @@ func checkFiles(b *testing.B) []string {
 	return files
 }
 
+// translateColdSeeds are the design seeds of the translate-cold benchmark
+// workload's fixed set of 16 designs, in the order it derives them.
+var translateColdSeeds = []int64{
+	3815706971034938121, 1062978302177790369, 2095858246062234398, 1289205901780075,
+	1874944728764045048, 1982008774604943220, 1875193922867876416, 1255029250774115709,
+	1084444807977787697, 4385836646089963325, 4365024088915672551, 176468797965540606,
+	4114430925720962309, 439151802237704826, 132580608568999955, 1590533054376842661,
+}
+
+// BenchmarkTranslateCold measures what translate-cold asks of the engine:
+// one op translates its 16 designs at 32 cells, each through every tool
+// on one worker with no cache, so every tool routes from scratch.
+func BenchmarkTranslateCold(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		for _, seed := range translateColdSeeds {
+			req := serve.TranslateRequest{Cells: 32, Seed: seed, Jobs: 1}
+			if err := serve.Translate(context.Background(), io.Discard, req, nil, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkRouteScale measures the router per net at three design sizes.
 // The sub-benchmarks keep their "/serial" suffix so runs at earlier
 // revisions stay comparable.

@@ -219,6 +219,7 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 	// same size, and searches run one at a time.
 	sc := newSearchScratch(len(g.own), searches)
 	res := &Result{Segments: make(map[string][]Segment), grid: g}
+	// The first pass has no attempt to beat, so it routes every net.
 	routeAll(g, sc, res, nets, netPins, opts, len(nets))
 	if len(res.Failed) == 0 {
 		recordRouteMetrics(opts.Metrics, res, len(nets), 0)

@@ -15,7 +15,9 @@ type searchScratch struct {
 	// bits) into one word, so one load answers both "reached in this
 	// search?" and "at what cost?". Costs are never negative.
 	seen []uint64
-	prev []int32 // predecessor slab index (-1 = search root); valid iff seen is current
+	// prev is a cell's predecessor slab index (-1 = search root), valid
+	// while its seen stamp is the current epoch.
+	prev []int32
 	// epoch is the current search's stamp, already shifted into seen's
 	// high half.
 	epoch uint64
