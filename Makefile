@@ -1,11 +1,12 @@
 # Tier-1 gate. `make check` is what CI (and every commit) should pass:
-# build + vet + full tests, plus the race detector on every package that
-# imports internal/par — the repo's entire concurrency surface
-# (DESIGN.md §5a). RACE_PKGS is computed, not hand-listed, so a new
-# par-importing package is race-gated automatically. RACE_EXTRA adds the
-# failure-path packages: fault's injector is drawn from concurrently,
-# workflow hosts the retry/fault engine, memo's cache is shared across
-# fan-out workers, and journal backs the daemon's request log.
+# build + vet + a gofmt check of every tracked .go file + full tests,
+# plus the race detector on every package that imports internal/par —
+# the repo's entire concurrency surface (DESIGN.md §5a). RACE_PKGS is
+# computed, not hand-listed, so a new par-importing package is
+# race-gated automatically. RACE_EXTRA adds the failure-path packages:
+# fault's injector is drawn from concurrently, workflow hosts the
+# retry/fault engine, memo's cache is shared across fan-out workers, and
+# journal backs the daemon's request log.
 
 GO ?= go
 RACE_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{join .Deps " "}}' ./... | grep 'cadinterop/internal/par' | cut -d' ' -f1)
@@ -41,15 +42,22 @@ COVER_OBS_MIN ?= 90.0
 BUILD_DIR ?= build
 COVER_OUT ?= $(BUILD_DIR)/cover.out
 
-.PHONY: check build vet test race allocs bench fuzz cover
+.PHONY: check build vet fmt test race allocs bench fuzz cover
 
-check: build vet test race allocs
+check: build vet fmt test race allocs
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Format gate: fails when gofmt would rewrite any tracked .go file. The
+# list comes from git, so the copies of the tree bench/ab.sh leaves under
+# the git-ignored bench/out/ are not scanned.
+fmt:
+	@files=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -59,10 +67,12 @@ race:
 
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
 # the router's and the sim kernel's steady-state hot paths at ~zero
-# allocations (DESIGN.md §5c), the memo cache's disabled path, a
+# allocations (DESIGN.md §5c), a whole Route through its rip-up passes
+# (one fabric per Route), the memo cache's disabled path, a
 # /v1/migrate cache hit (which parses no cd), and the s-expression reader's
 # arena: allocations per net of an in-memory exchange read (ReadBytes),
-# allocations of a 40 KB cd read, and the cost of a short a/L parse. One
+# allocations of a 40 KB cd read, the cost of a short a/L parse, and the
+# bytes a streamed scan allocates per byte of input. One
 # gate is a scaling bound: the bytes a faulted /v1/flow allocates per task
 # may grow at most 1.5x from 16 to 256 blocks. Two pin what a cache hit
 # pays: the allocations of a gen-100 cd.Write (the migration key), and the

@@ -6,6 +6,7 @@
 package al_test
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -40,6 +41,37 @@ func TestParseSmallAllocs(t *testing.T) {
 		if b > 2*tc.bytes {
 			t.Errorf("%s: %.0f bytes per parse, want <= %.0f", tc.name, b, 2*tc.bytes)
 		}
+	}
+}
+
+// TestScanWindowAllocs: a token-by-token scan of a 5,000-net interchange
+// file that compacts after every token, as the streaming readers compact
+// at every record, allocates each read chunk once, inside the new window.
+// Converting each chunk to a string before joining it to the window
+// allocated 2.23 times the file; one allocation per window is 1.29 times.
+func TestScanWindowAllocs(t *testing.T) {
+	var file bytes.Buffer
+	if _, err := workgen.ScaleExchange(&file, workgen.ScaleOptions{Nets: 5000, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	scan := func() {
+		sc := al.NewScanner(bytes.NewReader(file.Bytes()))
+		for {
+			tok, _, err := sc.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tok == "" {
+				return
+			}
+			sc.Compact()
+		}
+	}
+	b := bytesPerRun(5, scan)
+	ratio := b / float64(file.Len())
+	t.Logf("%.0f bytes per scan of a %d-byte file (%.2fx)", b, file.Len(), ratio)
+	if ratio > 1.4 {
+		t.Errorf("a scan allocates %.2f times its input, want <= 1.4", ratio)
 	}
 }
 

@@ -52,7 +52,9 @@ func (s *Scanner) Err() error { return s.readErr }
 func (s *Scanner) MaxWindow() int { return s.maxWindow }
 
 // fill appends at least one byte of input to the window, reporting false
-// at end of input (or on a read error, which Err exposes).
+// at end of input (or on a read error, which Err exposes). The new window
+// is built in one allocation: `s.src += string(chunk)` would allocate the
+// chunk's string first and then the window.
 func (s *Scanner) fill() bool {
 	if s.rbuf == nil {
 		s.rbuf = make([]byte, s.chunk)
@@ -60,7 +62,11 @@ func (s *Scanner) fill() bool {
 	for !s.eof {
 		n, err := s.r.Read(s.rbuf)
 		if n > 0 {
-			s.src += string(s.rbuf[:n])
+			var w strings.Builder
+			w.Grow(len(s.src) + n)
+			w.WriteString(s.src)
+			w.Write(s.rbuf[:n])
+			s.src = w.String()
 			if len(s.src) > s.maxWindow {
 				s.maxWindow = len(s.src)
 			}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cadinterop/internal/geom"
+	"cadinterop/internal/obs"
 )
 
 // TestBFSAllocs: steady-state bfs must allocate only the returned path —
@@ -17,12 +18,13 @@ import (
 // search; the bound here is exact so a scratch regression fails loudly.
 func TestBFSAllocs(t *testing.T) {
 	g := NewGrid(geom.R(0, 0, 400, 400), 10)
+	g.tab = newInternTable([]string{"n"})
 	sc := newSearchScratch(len(g.own), nil)
-	sig := g.tab.intern("n")
+	sig, _ := g.tab.lookup("n")
 	claim(g, sig, node{0, 5, 5}, Rule{WidthTracks: 1})
 	rule := Rule{WidthTracks: 1, SpacingTracks: 1}
 	from := node{0, 35, 35}
-	if _, err := bfs(g, sc, sig, from, rule); err != nil { // grow the frontier buckets
+	if _, err := bfs(g, sc, sig, from, rule); err != nil { // grow the frontier ring's slices
 		t.Fatal(err)
 	}
 	avg := testing.AllocsPerRun(100, func() {
@@ -35,30 +37,32 @@ func TestBFSAllocs(t *testing.T) {
 	}
 }
 
-// TestInternGrowAllocs: a table grown to its final net count must intern
-// without rehashing the map or reallocating the decode slab — the only
-// allocations per name are the map entry and the four precomputed decode
-// strings (three of them concatenations). The bound stays tight so a
-// presize regression (growth reallocations back on the hot path) fails
-// loudly.
-func TestInternGrowAllocs(t *testing.T) {
-	const nets = 512
-	names := make([]string, nets)
-	for i := range names {
-		names[i] = "net" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i/676))
+// TestRouteAllocs: a whole Route builds its fabric (grid, intern table,
+// pin flags) once and routes every pass on a copy of its cells, so each
+// pass allocates only a slab, a result and its paths. The design,
+// ripupCutCases[0], leaves nets unrouted on its first pass and runs six
+// rip-up passes. Route allocates 417 objects on it; a fresh grid per pass
+// with an intern table of precomputed marker strings allocated 1,087.
+// The bound stays a little above 417, so rebuilding only the intern table
+// per pass (452) or the whole fabric per pass (465) fails it.
+func TestRouteAllocs(t *testing.T) {
+	c := ripupCutCases[0]
+	_, d, opts := quickDesign(t, c.seed, c.cells, c.crit, c.kos, c.plain)
+	reg := obs.NewRegistry()
+	opts.Metrics = reg
+	if _, err := Route(d, opts); err != nil {
+		t.Fatal(err)
 	}
+	if passes := reg.Counter("route.ripup.passes").Value(); passes == 0 {
+		t.Fatal("the design runs no rip-up pass")
+	}
+	opts.Metrics = nil
 	avg := testing.AllocsPerRun(20, func() {
-		tab := newInternTable()
-		tab.grow(nets)
-		for _, n := range names {
-			tab.intern(n)
+		if _, err := Route(d, opts); err != nil {
+			t.Fatal(err)
 		}
 	})
-	// Per name: one strs entry is pre-reserved (0 allocs), the three
-	// prefixed decode forms allocate, and the map stores the entry without
-	// rehash (~1 amortized). Fixed cost: table, slab, map. Anything above
-	// ~4.5/name means growth reallocation crept back in.
-	if perName := (avg - 8) / nets; perName > 4.5 {
-		t.Errorf("grown intern table allocates %.2f objects per name (%.0f total), want <= 4.5", perName, avg)
+	if avg > 430 {
+		t.Errorf("Route allocates %.0f objects, want <= 430", avg)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"cadinterop/internal/geom"
+	"cadinterop/internal/phys"
 	"cadinterop/internal/place"
 	"cadinterop/internal/workgen"
 )
@@ -41,32 +42,8 @@ func view(res *Result, rules map[string]Rule) routedView {
 // cell. Fixed inputs that reach a cut rip-up attempt run first.
 func TestQuickRouterEquivalence(t *testing.T) {
 	prop := func(seed uint16, cells, crit, kos uint8, plain bool) bool {
-		c := workgen.PhysOptions{
-			Cells:        8 + int(cells)%25,
-			Seed:         int64(seed),
-			CriticalNets: int(crit) % 5,
-			Keepouts:     int(kos) % 3,
-		}
-		d, fp, err := workgen.PhysDesign(c)
-		if err != nil {
-			t.Fatalf("workgen %+v: %v", c, err)
-		}
-		if _, err := place.Place(d, place.Options{Seed: 5}); err != nil {
-			t.Fatalf("place %+v: %v", c, err)
-		}
-		rules := make(map[string]Rule, len(fp.NetRules))
-		for _, r := range fp.NetRules {
-			w := r.WidthTracks
-			if w < 1 {
-				w = 1
-			}
-			rules[r.Net] = Rule{WidthTracks: w, SpacingTracks: r.SpacingTracks, Shield: r.Shield}
-		}
-		var kosR []geom.Rect
-		for _, k := range fp.Keepouts {
-			kosR = append(kosR, k.Rect)
-		}
-		opts := Options{Pitch: 5, Rules: rules, Keepouts: kosR, PlainBFS: plain}
+		c, d, opts := quickDesign(t, seed, cells, crit, kos, plain)
+		rules := opts.Rules
 		ref, err := refRoute(d, opts)
 		if err != nil {
 			t.Fatalf("refRoute %+v: %v", c, err)
@@ -120,6 +97,39 @@ func TestQuickRouterEquivalence(t *testing.T) {
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// quickDesign builds and places the workgen design of one
+// TestQuickRouterEquivalence input and returns it with the options it is
+// routed under: pitch 5, the floorplan's rules and keepouts.
+func quickDesign(t testing.TB, seed uint16, cells, crit, kos uint8, plain bool) (workgen.PhysOptions, *phys.Design, Options) {
+	t.Helper()
+	c := workgen.PhysOptions{
+		Cells:        8 + int(cells)%25,
+		Seed:         int64(seed),
+		CriticalNets: int(crit) % 5,
+		Keepouts:     int(kos) % 3,
+	}
+	d, fp, err := workgen.PhysDesign(c)
+	if err != nil {
+		t.Fatalf("workgen %+v: %v", c, err)
+	}
+	if _, err := place.Place(d, place.Options{Seed: 5}); err != nil {
+		t.Fatalf("place %+v: %v", c, err)
+	}
+	rules := make(map[string]Rule, len(fp.NetRules))
+	for _, r := range fp.NetRules {
+		w := r.WidthTracks
+		if w < 1 {
+			w = 1
+		}
+		rules[r.Net] = Rule{WidthTracks: w, SpacingTracks: r.SpacingTracks, Shield: r.Shield}
+	}
+	var kosR []geom.Rect
+	for _, k := range fp.Keepouts {
+		kosR = append(kosR, k.Rect)
+	}
+	return c, d, Options{Pitch: 5, Rules: rules, Keepouts: kosR, PlainBFS: plain}
 }
 
 // ripupCutCases are TestQuickRouterEquivalence inputs on which Route ends

@@ -62,54 +62,37 @@ func spacingAggressor(o, sig int32) bool {
 
 func isShieldOf(o, sig int32) bool { return o == sig|kindShield }
 
-// internTable maps net names to dense IDs for one Grid. The four decoded
-// string forms per net are precomputed so Owner never allocates.
+// internTable numbers the nets of one Route: net index i >= 1 is
+// names[i-1]. Every attempt's grid shares the table, which nothing writes
+// once it is built.
 type internTable struct {
-	ids  map[string]int32 // name -> net index (>= 1)
-	strs [][4]string      // net index -> {name, "?"+name, "!"+name, "~"+name}
+	ids   map[string]int32 // name -> net index (>= 1)
+	names []string         // net index - 1 -> name
 }
 
-func newInternTable() *internTable {
-	return &internTable{ids: make(map[string]int32), strs: make([][4]string, 1)}
+// newInternTable numbers names from 1 in the order given, and keeps names.
+func newInternTable(names []string) internTable {
+	ids := make(map[string]int32, len(names))
+	for i, n := range names {
+		ids[n] = int32(i + 1)
+	}
+	return internTable{ids: ids, names: names}
 }
 
-// intern returns the signal ID for a net name, adding it to the table on
-// first sight.
-func (t *internTable) intern(name string) int32 {
-	if i, ok := t.ids[name]; ok {
-		return i << 2
-	}
-	i := int32(len(t.strs))
-	t.ids[name] = i
-	t.strs = append(t.strs, [4]string{name, "?" + name, "!" + name, "~" + name})
-	return i << 2
-}
-
-// grow pre-sizes the table for n more nets so steady-state interning never
-// rehashes the map or reallocates the decode slab. Called with the final
-// net count before pin reservation; a fresh table additionally swaps its
-// map for one with the right bucket count.
-func (t *internTable) grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if need := len(t.strs) + n; cap(t.strs) < need {
-		strs := make([][4]string, len(t.strs), need)
-		copy(strs, t.strs)
-		t.strs = strs
-	}
-	if len(t.ids) == 0 {
-		t.ids = make(map[string]int32, n)
-	}
-}
-
-// lookup returns the signal ID for a name already in the table.
+// lookup returns the signal ID of a net, and false for a name the table
+// does not hold.
 func (t *internTable) lookup(name string) (int32, bool) {
 	i, ok := t.ids[name]
 	return i << 2, ok
 }
 
-// decode returns the string form of a cell ID.
+// name returns the name of the net a net cell belongs to.
+func (t *internTable) name(o int32) string {
+	return t.names[o>>2-1]
+}
+
+// decode returns the string form of a cell ID. A marker's string is built
+// on each call: only Owner decodes, and only tests call it.
 func (t *internTable) decode(o int32) string {
 	switch o {
 	case cellEmpty:
@@ -117,7 +100,7 @@ func (t *internTable) decode(o int32) string {
 	case cellBlocked:
 		return "#"
 	}
-	return t.strs[o>>2][o&3]
+	return [4]string{kindPending: "?", kindShield: "!", kindHalo: "~"}[cellKind(o)] + t.name(o)
 }
 
 // reservedNetName reports whether a net name collides with the grid's

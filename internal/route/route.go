@@ -11,6 +11,7 @@ package route
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cadinterop/internal/geom"
@@ -89,14 +90,16 @@ type Result struct {
 type Grid struct {
 	W, H  int
 	Pitch int
-	tab   *internTable
-	own   []int32
+	// tab numbers the Route's nets. Only reservePins writes it, and every
+	// attempt's grid shares it.
+	tab internTable
+	own []int32
 	// stride is the padded row length (W+2) and layer the padded layer
 	// size ((W+2)×(H+2)); layer 1 starts at own[layer].
 	stride, layer int
 	// pin holds per-cell pin flags (pinPad, pinNear), one padded layer
 	// indexed like layer 0 of own. Only reservePins writes it, so it is
-	// fixed for the whole of a Route.
+	// fixed for the whole of a Route and every attempt's grid shares it.
 	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
@@ -117,7 +120,7 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 	h := die.Dy()/pitch + 1
 	stride := w + 2
 	layer := stride * (h + 2)
-	g := &Grid{W: w, H: h, Pitch: pitch, tab: newInternTable(),
+	g := &Grid{W: w, H: h, Pitch: pitch,
 		own: make([]int32, 2*layer), stride: stride, layer: layer, pin: make([]uint8, layer)}
 	for base := 0; base < len(g.own); base += layer {
 		for x := 0; x < stride; x++ {
@@ -130,6 +133,14 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 		}
 	}
 	return g
+}
+
+// clone returns a grid over a copy of g's cells. It shares g's intern
+// table and pin flags, which no routing pass writes.
+func (g *Grid) clone() *Grid {
+	c := *g
+	c.own = slices.Clone(g.own)
+	return &c
 }
 
 // index returns the slab index of die cell (x, y) on layer l.
@@ -214,51 +225,43 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 	}
 	nets := orderNets(netPins, opts)
 
-	g := freshGrid(d, opts, netPins)
-	// One scratch serves every search of every pass: rip-up grids have the
-	// same size, and searches run one at a time.
-	sc := newSearchScratch(len(g.own), searches)
-	res := &Result{Segments: make(map[string][]Segment), grid: g}
+	// Keepouts, pin reservations, pin flags and the nets' numbering are
+	// the same for every pass, so the fabric is built once and each pass
+	// routes on a copy of its cells. One scratch serves every search of
+	// every pass: searches run one at a time.
+	fab := freshGrid(d, opts, netPins)
+	sc := newSearchScratch(len(fab.own), searches)
 	// The first pass has no attempt to beat, so it routes every net.
-	routeAll(g, sc, res, nets, netPins, opts, len(nets))
-	if len(res.Failed) == 0 {
-		recordRouteMetrics(opts.Metrics, res, len(nets), 0)
-		return res, nil
-	}
+	best := routeAll(fab, sc, nets, netPins, opts, len(nets))
 
-	// Rip-up and retry: rebuild the fabric from scratch with the failed
+	// Rip-up and retry: route a fresh copy of the fabric with the failed
 	// nets promoted to the front of the order (they get virgin fabric), up
 	// to a few passes; keep the best attempt. An attempt is kept only with
 	// fewer failed nets than best, and the next order depends only on the
 	// last order and best.Failed, so an attempt ends at its
 	// len(best.Failed)-th failed net: nothing after it can change the
 	// result (DESIGN.md §5c).
-	best := res
 	order := nets
-	passes := 0
-	for pass := 0; pass < 6 && len(best.Failed) > 0; pass++ {
-		passes++
+	pass := 0
+	for ; pass < 6 && len(best.Failed) > 0; pass++ {
 		order = promoteFailed(order, best.Failed)
 		if pass > 0 {
 			// Perturb the tail so successive passes explore different
 			// packings once the failed set stabilizes.
 			order = rotateTail(order, len(best.Failed), pass)
 		}
-		g2 := freshGrid(d, opts, netPins)
-		attempt := &Result{Segments: make(map[string][]Segment), grid: g2}
-		routeAll(g2, sc, attempt, order, netPins, opts, len(best.Failed))
-		if len(attempt.Failed) < len(best.Failed) {
+		if attempt := routeAll(fab, sc, order, netPins, opts, len(best.Failed)); len(attempt.Failed) < len(best.Failed) {
 			best = attempt
 		}
 	}
-	recordRouteMetrics(opts.Metrics, best, len(nets), passes)
+	recordRouteMetrics(opts.Metrics, best, len(nets), pass)
 	return best, nil
 }
 
 // gatherNetPins collects pins per net in grid coordinates. Net names are
 // validated against the reserved marker vocabulary here, before any of
-// them is interned into a grid. The map is pre-sized from the instance
-// count — a chain design has about one net per instance (DESIGN.md §5c).
+// them is interned. The map is pre-sized from the instance count — a
+// chain design has about one net per instance (DESIGN.md §5c).
 // opts.Pitch must already be normalized.
 func gatherNetPins(d *phys.Design, opts Options) (map[string][]geom.Point, error) {
 	top := d.TopCell()
@@ -326,22 +329,24 @@ func recordRouteMetrics(reg *obs.Registry, res *Result, nets, passes int) {
 	reg.Counter("route.ripup.passes").Add(int64(passes))
 }
 
-// reservePins marks pin landing cells, with their pin adjacency, and
-// reserves them with the pending marker in canonical net order. It is the
-// only writer of Grid.pin.
+// reservePins numbers the nets by sorted name, marks pin landing cells,
+// with their pin adjacency, and reserves them with the pending marker in
+// that order. It is the only writer of Grid.tab and Grid.pin.
 func reservePins(g *Grid, netPins map[string][]geom.Point) {
 	names := make([]string, 0, len(netPins))
 	for n := range netPins {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	g.tab = newInternTable(names)
 	for _, n := range names {
+		sig, _ := g.tab.lookup(n)
 		for _, p := range netPins[n] {
 			g.markPin(p.X, p.Y)
 			// Pins live on the horizontal layer only; the layer above
 			// stays routable for through-traffic.
 			if g.owner(0, p.X, p.Y) == cellEmpty {
-				g.set(0, p.X, p.Y, g.tab.intern(n)|kindPending)
+				g.set(0, p.X, p.Y, sig|kindPending)
 			}
 		}
 	}
@@ -370,18 +375,22 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes the nets in order on the grid, booking failures, and
-// stops at the maxFailed-th failed net.
-func routeAll(g *Grid, sc *searchScratch, res *Result, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) {
+// routeAll routes the nets in order on a copy of the fabric, booking
+// failures, and stops at the maxFailed-th failed net.
+func routeAll(fab *Grid, sc *searchScratch, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) *Result {
+	g := fab.clone()
+	res := &Result{Segments: make(map[string][]Segment), grid: g}
 	for _, net := range order {
-		if err := routeNet(g, sc, res, net, g.tab.intern(net), netPins[net], normRule(opts.Rules[net])); err != nil {
+		sig, _ := g.tab.lookup(net)
+		if err := routeNet(g, sc, res, net, sig, netPins[net], normRule(opts.Rules[net])); err != nil {
 			res.Failed = append(res.Failed, net)
 			res.FailReasons = append(res.FailReasons, err.Error())
 			if len(res.Failed) == maxFailed {
-				return
+				break
 			}
 		}
 	}
+	return res
 }
 
 // promoteFailed moves failed nets to the front, preserving relative order
@@ -405,8 +414,9 @@ func promoteFailed(order, failed []string) []string {
 	return out
 }
 
-// freshGrid builds the fabric with keepouts blocked on both layers and
-// every pin reserved. opts.Pitch must already be normalized.
+// freshGrid builds a Route's fabric: keepouts blocked on both layers, the
+// nets numbered by sorted name and every pin reserved. opts.Pitch must
+// already be normalized.
 func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *Grid {
 	g := NewGrid(d.Die, opts.Pitch)
 	g.plainBFS = opts.PlainBFS
@@ -427,10 +437,7 @@ func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *G
 	// Pre-reserve every pin cell so no net can route through another
 	// net's landing pad. Reserved cells carry a pending marker ("?net"):
 	// foreign nets treat them as obstacles, the owning net may claim them,
-	// and they do not count as connected yet. The intern table is grown to
-	// final size first so the hot path never rehashes or reallocates it
-	// (allocs_test.go locks this in).
-	g.tab.grow(len(netPins))
+	// and they do not count as connected yet.
 	reservePins(g, netPins)
 	return g
 }
@@ -447,6 +454,28 @@ type node struct {
 	l, x, y int
 }
 
+// across returns the cell d tracks from n across its layer's direction:
+// along y on the horizontal layer 0, along x on layer 1. Width, spacing,
+// shield and halo windows all lie across a wire.
+func (n node) across(d int) node {
+	if n.l == 0 {
+		n.y += d
+	} else {
+		n.x += d
+	}
+	return n
+}
+
+// eachCell calls f on every cell of the net's signal wire, layer by
+// layer and row by row. The frame is blocked, so every cell is a die cell.
+func (g *Grid) eachCell(sig int32, f func(node)) {
+	for i, o := range g.own {
+		if o == sig {
+			f(g.nodeAt(int32(i)))
+		}
+	}
+}
+
 // routeNet maze-routes one net on the grid, connecting pins one at a time
 // to the grown net region.
 func routeNet(g *Grid, sc *searchScratch, res *Result, net string, sig int32, pins []geom.Point, rule Rule) error {
@@ -458,12 +487,12 @@ func routeNet(g *Grid, sc *searchScratch, res *Result, net string, sig int32, pi
 		return err
 	}
 	if rule.Shield {
-		res.ShieldLen += addShields(g, sig)
+		res.ShieldLen += addMarkers(g, sig, sig|kindShield, 1)
 	}
 	if rule.SpacingTracks > 0 {
 		// Spacing is symmetric: reserve a clearance halo so nets routed
 		// later cannot violate this net's rule either.
-		addHalo(g, sig, rule.SpacingTracks)
+		addMarkers(g, sig, sig|kindHalo, rule.SpacingTracks)
 	}
 	return nil
 }
@@ -524,46 +553,32 @@ func recordPaths(res *Result, net string, paths [][]node) {
 	}
 }
 
-// addHalo reserves free cells within dist perpendicular tracks of the
-// net's wires using the clearance marker "~net" — an obstacle to foreign
-// nets that audits ignore, distinct from the shield marker because a
-// clearance halo is empty space, not a grounded wire.
-func addHalo(g *Grid, sig int32, dist int) {
-	marker := sig | kindHalo
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig {
-					continue
-				}
-				for s := 1; s <= dist; s++ {
-					for _, d := range [2]int{-s, s} {
-						c := node{l, x, y}
-						if l == 0 {
-							c.y += d
-						} else {
-							c.x += d
-						}
-						if c.x >= 0 && c.y >= 0 && c.x < g.W && c.y < g.H && g.owner(c.l, c.x, c.y) == cellEmpty {
-							g.set(c.l, c.x, c.y, marker)
-						}
-					}
+// addMarkers occupies the free cells within dist tracks across the net's
+// wires with marker and returns how many it took. Both markers are
+// obstacles to foreign nets: a shield ("!net", dist 1) is a grounded wire,
+// and a clearance halo ("~net") is empty space that audits ignore.
+func addMarkers(g *Grid, sig, marker int32, dist int) int {
+	added := 0
+	g.eachCell(sig, func(n node) {
+		for s := 1; s <= dist; s++ {
+			for _, d := range [2]int{-s, s} {
+				// A cell off the die reads as blocked.
+				if c := n.across(d); g.owner(c.l, c.x, c.y) == cellEmpty {
+					g.set(c.l, c.x, c.y, marker)
+					added++
 				}
 			}
 		}
-	}
+	})
+	return added
 }
 
-// claim marks a cell (and its width expansion) as owned by net.
+// claim marks a cell (and its width expansion across the layer) as owned
+// by net.
 func claim(g *Grid, sig int32, n node, rule Rule) {
-	g.set(n.l, n.x, n.y, sig)
-	// Width expansion perpendicular to the layer direction.
-	for w := 1; w < rule.WidthTracks; w++ {
-		if n.l == 0 {
-			g.set(n.l, n.x, n.y+w, sig)
-		} else {
-			g.set(n.l, n.x+w, n.y, sig)
-		}
+	for w := 0; w < rule.WidthTracks; w++ {
+		c := n.across(w)
+		g.set(c.l, c.x, c.y, sig)
 	}
 }
 
@@ -572,13 +587,8 @@ func claim(g *Grid, sig int32, n node, rule Rule) {
 // the spacing clearance must hold against foreign nets.
 func usable(g *Grid, sig int32, n node, rule Rule) bool {
 	for i := 0; i < rule.WidthTracks; i++ {
-		c := n
-		if n.l == 0 {
-			c.y += i
-		} else {
-			c.x += i
-		}
-		if c.x < 0 || c.y < 0 || c.x >= g.W || c.y >= g.H {
+		c := n.across(i)
+		if !g.inDie(c.x, c.y) {
 			return false
 		}
 		if o := g.owner(c.l, c.x, c.y); o != cellEmpty && !ownCell(o, sig) {
@@ -592,18 +602,9 @@ func usable(g *Grid, sig int32, n node, rule Rule) bool {
 		}
 		for s := 1; s <= rule.SpacingTracks; s++ {
 			for _, d := range [2]int{-s, s} {
-				c2 := c
-				if c.l == 0 {
-					c2.y += d
-				} else {
-					c2.x += d
-				}
-				if g.isPin(c2.x, c2.y) {
-					continue
-				}
 				// Spacing measures to real foreign wires; shields, halos
 				// and blockages are not aggressors.
-				if spacingAggressor(g.owner(c2.l, c2.x, c2.y), sig) {
+				if a := c.across(d); !g.isPin(a.x, a.y) && spacingAggressor(g.owner(a.l, a.x, a.y), sig) {
 					return false
 				}
 			}
@@ -625,7 +626,7 @@ func usable(g *Grid, sig int32, n node, rule Rule) bool {
 func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, error) {
 	// The pin landing needs only its own cell (width rules govern wires).
 	if !usable(g, sig, from, Rule{WidthTracks: 1}) {
-		return nil, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.decode(sig))
+		return nil, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.name(sig))
 	}
 	sc.searches.Inc()
 	viaCost, pinAdjCost := 3, 4
@@ -643,14 +644,11 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 	sc.setDist(start, 0, -1)
 	sc.push(0, start)
 	maxCost := 0
-	for d := 0; d <= maxCost+1; d++ {
-		if d >= len(sc.buckets) {
-			continue
-		}
-		for len(sc.buckets[d]) > 0 {
-			bkt := sc.buckets[d]
-			ci := bkt[len(bkt)-1]
-			sc.buckets[d] = bkt[:len(bkt)-1]
+	for d := 0; d <= maxCost; d++ {
+		bkt := &sc.buckets[d%len(sc.buckets)]
+		for len(*bkt) > 0 {
+			ci := (*bkt)[len(*bkt)-1]
+			*bkt = (*bkt)[:len(*bkt)-1]
 			if !sc.settled(ci, d) {
 				continue // stale entry
 			}
@@ -698,36 +696,7 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.decode(sig))
-}
-
-// addShields occupies free tracks adjacent to the net's wires with shield
-// markers and returns the shield wirelength added.
-func addShields(g *Grid, sig int32) int {
-	added := 0
-	marker := sig | kindShield
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig {
-					continue
-				}
-				for _, d := range [2]int{-1, 1} {
-					a := node{l, x, y}
-					if l == 0 {
-						a.y += d
-					} else {
-						a.x += d
-					}
-					if a.x >= 0 && a.y >= 0 && a.x < g.W && a.y < g.H && g.owner(a.l, a.x, a.y) == cellEmpty {
-						g.set(a.l, a.x, a.y, marker)
-						added++
-					}
-				}
-			}
-		}
-	}
-	return added
+	return nil, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.name(sig))
 }
 
 // --- audit -------------------------------------------------------------
@@ -753,28 +722,16 @@ func (r *Result) CouplingRun(net string) (worstNet string, run int) {
 		return "", 0
 	}
 	runs := make(map[int32]int)
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig {
-					continue
-				}
-				for _, d := range [2]int{-1, 1} {
-					a := node{l, x, y}
-					if l == 0 {
-						a.y += d
-					} else {
-						a.x += d
-					}
-					if o := g.owner(a.l, a.x, a.y); foreignSignal(o, sig) {
-						runs[o]++
-					}
-				}
+	g.eachCell(sig, func(n node) {
+		for _, d := range [2]int{-1, 1} {
+			a := n.across(d)
+			if o := g.owner(a.l, a.x, a.y); foreignSignal(o, sig) {
+				runs[o]++
 			}
 		}
-	}
+	})
 	for o, c := range runs {
-		n := g.tab.decode(o)
+		n := g.tab.name(o)
 		if c > run || (c == run && n < worstNet) {
 			worstNet, run = n, c
 		}
@@ -782,48 +739,30 @@ func (r *Result) CouplingRun(net string) (worstNet string, run int) {
 	return worstNet, run
 }
 
-// actualMinWidth computes the narrowest point of a routed net in tracks.
+// actualMinWidth computes the narrowest point of a routed net in tracks,
+// 0 when the net has no wire off its pins.
 func (r *Result) actualMinWidth(net string) int {
 	g := r.grid
 	sig, ok := g.tab.lookup(net)
 	if !ok {
 		return 0
 	}
-	min := 1 << 30
-	found := false
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig || g.isPin(x, y) {
-					continue
-				}
-				found = true
-				// Count contiguous own cells perpendicular.
-				w := 1
-				if l == 0 {
-					for d := 1; g.owner(l, x, y+d) == sig; d++ {
-						w++
-					}
-					for d := 1; g.owner(l, x, y-d) == sig; d++ {
-						w++
-					}
-				} else {
-					for d := 1; g.owner(l, x+d, y) == sig; d++ {
-						w++
-					}
-					for d := 1; g.owner(l, x-d, y) == sig; d++ {
-						w++
-					}
-				}
-				if w < min {
-					min = w
-				}
+	min := 0
+	g.eachCell(sig, func(n node) {
+		if g.isPin(n.x, n.y) {
+			return
+		}
+		// Count contiguous own cells across the wire.
+		w := 1
+		for _, dir := range [2]int{1, -1} {
+			for a := n.across(dir); g.owner(a.l, a.x, a.y) == sig; a = a.across(dir) {
+				w++
 			}
 		}
-	}
-	if !found {
-		return 0
-	}
+		if min == 0 || w < min {
+			min = w
+		}
+	})
 	return min
 }
 
@@ -836,33 +775,19 @@ func (r *Result) minClearance(net string, window int) int {
 	if !ok {
 		return min
 	}
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig || g.isPin(x, y) {
-					continue
-				}
-				for s := 1; s <= window; s++ {
-					for _, d := range [2]int{-s, s} {
-						c := node{l, x, y}
-						if l == 0 {
-							c.y += d
-						} else {
-							c.x += d
-						}
-						if g.isPin(c.x, c.y) {
-							continue
-						}
-						if o := g.owner(c.l, c.x, c.y); foreignSignal(o, sig) {
-							if s < min {
-								min = s
-							}
-						}
-					}
+	g.eachCell(sig, func(n node) {
+		if g.isPin(n.x, n.y) {
+			return
+		}
+		for s := 1; s <= window; s++ {
+			for _, d := range [2]int{-s, s} {
+				c := n.across(d)
+				if s < min && !g.isPin(c.x, c.y) && foreignSignal(g.owner(c.l, c.x, c.y), sig) {
+					min = s
 				}
 			}
 		}
-	}
+	})
 	return min
 }
 
@@ -875,31 +800,21 @@ func (r *Result) shieldCoverage(net string) float64 {
 		return 1
 	}
 	var total, covered int
-	for l := 0; l < 2; l++ {
-		for y := 0; y < g.H; y++ {
-			for x := 0; x < g.W; x++ {
-				if g.owner(l, x, y) != sig || g.isPin(x, y) {
-					continue
-				}
-				for _, d := range [2]int{-1, 1} {
-					a := node{l, x, y}
-					if l == 0 {
-						a.y += d
-					} else {
-						a.x += d
-					}
-					if a.x < 0 || a.y < 0 || a.x >= g.W || a.y >= g.H {
-						continue
-					}
-					total++
-					o := g.owner(a.l, a.x, a.y)
-					if ownCell(o, sig) || isShieldOf(o, sig) || g.isPin(a.x, a.y) {
-						covered++
-					}
-				}
+	g.eachCell(sig, func(n node) {
+		if g.isPin(n.x, n.y) {
+			return
+		}
+		for _, d := range [2]int{-1, 1} {
+			a := n.across(d)
+			if !g.inDie(a.x, a.y) {
+				continue
+			}
+			total++
+			if o := g.owner(a.l, a.x, a.y); ownCell(o, sig) || isShieldOf(o, sig) || g.isPin(a.x, a.y) {
+				covered++
 			}
 		}
-	}
+	})
 	if total == 0 {
 		return 1 // no wire cells outside pins: nothing needs shielding
 	}

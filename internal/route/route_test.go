@@ -229,7 +229,8 @@ func TestGridBounds(t *testing.T) {
 	if g.Owner(0, -1, 0) != "#" || g.Owner(1, 0, 999) != "#" {
 		t.Error("out-of-bounds should read blocked")
 	}
-	x := g.tab.intern("x")
+	g.tab = newInternTable([]string{"x"})
+	x, _ := g.tab.lookup("x")
 	if g.Owner(0, 5, 5) != "" {
 		t.Error("fresh grid cell should be empty")
 	}

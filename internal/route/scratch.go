@@ -5,9 +5,9 @@ import "cadinterop/internal/obs"
 // Search scratch. Every buffer is a flat slice indexed like Grid.own and
 // validity is tracked with epoch stamps: "clearing" a buffer is a single
 // counter increment, not an O(cells) wipe. Route allocates one scratch and
-// every search of every pass reuses it — rip-up grids have the same size
-// and searches run one at a time — so a search allocates nothing but the
-// path it returns (see DESIGN.md §5c).
+// every search of every pass reuses it — every pass routes on a copy of
+// the same fabric, and searches run one at a time — so a search allocates
+// nothing but the path it returns (see DESIGN.md §5c).
 
 // searchScratch holds one bfs invocation's visited/cost/frontier state.
 type searchScratch struct {
@@ -21,9 +21,12 @@ type searchScratch struct {
 	// epoch is the current search's stamp, already shifted into seen's
 	// high half.
 	epoch uint64
-	// buckets is the small-integer-cost frontier queue, indexed by cost.
-	// Inner slices are reused across searches.
-	buckets [][]int32
+	// buckets is the frontier, a ring of cost buckets: cost d waits in
+	// buckets[d%8]. A step costs at most 7 (a via, 3, into a cell beside a
+	// pin, +4), so while the cost-d bucket drains every queued cost lies
+	// in [d, d+7], and each bucket holds a single cost. The slices are
+	// reused across searches.
+	buckets [8][]int32
 	// searches counts the searches that pass the pin-cell check
 	// (route.bfs.searches; nil when Options.Metrics is unset).
 	searches *obs.Counter
@@ -38,7 +41,7 @@ func newSearchScratch(n int, searches *obs.Counter) *searchScratch {
 	}
 }
 
-// reset invalidates all per-search state in O(buckets) time.
+// reset invalidates all per-search state in O(1) time.
 func (sc *searchScratch) reset() {
 	sc.epoch += 1 << 32
 	if sc.epoch == 0 { // stamp wraparound: wipe once every 2^32 searches
@@ -50,13 +53,10 @@ func (sc *searchScratch) reset() {
 	}
 }
 
-// push appends a node to the cost-d frontier, growing the bucket index as
-// needed.
+// push appends a node to the cost-d frontier.
 func (sc *searchScratch) push(d int, i int32) {
-	for d >= len(sc.buckets) {
-		sc.buckets = append(sc.buckets, nil)
-	}
-	sc.buckets[d] = append(sc.buckets[d], i)
+	b := &sc.buckets[d%len(sc.buckets)]
+	*b = append(*b, i)
 }
 
 // reached reports whether a node was reached this search at cost d or
