@@ -1,5 +1,8 @@
 # Tier-1 gate. `make check` is what CI (and every commit) should pass:
-# build + vet + a gofmt check of every tracked .go file + full tests,
+# build + vet (of this module and of the bench/ module, which compiles
+# against route, serve and the other engines but is its own Go module, so
+# the root `go vet ./...` does not reach it) + a gofmt check of every
+# tracked .go file + full tests,
 # plus the race detector on every package that imports internal/par —
 # the repo's entire concurrency surface (DESIGN.md §5a). RACE_PKGS is
 # computed, not hand-listed, so a new par-importing package is
@@ -51,6 +54,7 @@ build:
 
 vet:
 	$(GO) vet ./...
+	$(GO) -C bench vet ./...
 
 # Format gate: fails when gofmt would rewrite any tracked .go file. The
 # list comes from git, so the copies of the tree bench/ab.sh leaves under
@@ -66,9 +70,10 @@ race:
 	$(GO) test -race $(RACE_PKGS) $(RACE_EXTRA)
 
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
-# the router's and the sim kernel's steady-state hot paths at ~zero
-# allocations (DESIGN.md §5c), a whole Route through its rip-up passes
-# (one fabric per Route), the memo cache's disabled path, a
+# the router's search at zero allocations and the sim kernel's
+# steady-state hot paths at ~zero (DESIGN.md §5c), a whole Route through
+# its rip-up passes (one fabric per Route, one slab and one result per
+# pass, nothing per search or per wire step), the memo cache's disabled path, a
 # /v1/migrate cache hit (which parses no cd), and the s-expression reader's
 # arena: allocations per net of an in-memory exchange read (ReadBytes),
 # allocations of a 40 KB cd read, the cost of a short a/L parse, and the

@@ -702,9 +702,10 @@ func BenchmarkTranslateCold(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteScale measures the router per net at three design sizes.
-// The sub-benchmarks keep their "/serial" suffix so runs at earlier
-// revisions stay comparable.
+// BenchmarkRouteScale measures the router per net at three design sizes,
+// over the multi-pin nets a probe run counts as routed or failed. The
+// sub-benchmarks keep their "/serial" suffix so runs at earlier revisions
+// stay comparable.
 func BenchmarkRouteScale(b *testing.B) {
 	for _, cells := range []int{48, 96, 192} {
 		d, fp, err := workgen.PhysDesign(workgen.PhysOptions{
@@ -720,12 +721,12 @@ func BenchmarkRouteScale(b *testing.B) {
 			rules[r.Net] = route.Rule{
 				WidthTracks: max(r.WidthTracks, 1), SpacingTracks: r.SpacingTracks, Shield: r.Shield}
 		}
-		opts := route.Options{Pitch: 5, Rules: rules}
-		probe, err := route.Route(d, opts)
-		if err != nil {
+		reg := obs.NewRegistry()
+		if _, err := route.Route(d, route.Options{Pitch: 5, Rules: rules, Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
-		nets := len(probe.Segments) + len(probe.Failed)
+		nets := reg.Counter("route.nets.routed").Value() + reg.Counter("route.nets.failed").Value()
+		opts := route.Options{Pitch: 5, Rules: rules}
 		b.Run(fmt.Sprintf("cells=%d/serial", cells), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := route.Route(d, opts); err != nil {

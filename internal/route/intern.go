@@ -5,23 +5,27 @@ import "fmt"
 // Cell identity. The fabric stores one int32 per cell instead of a net-name
 // string: hot-path comparisons (usable, bfs, spacing) become integer
 // compares and the grid itself is a flat machine-word array. The public API
-// (Owner, Result.Segments, Audit) still speaks strings at the boundary;
-// only the search core sees IDs.
+// (Owner, Audit, a failed net's reason) still speaks strings at the
+// boundary; only the router's core sees IDs.
 //
 // Encoding:
 //
 //	0                  — empty fabric ("")
-//	1                  — blocked: keepout or out-of-bounds ("#")
+//	1                  — blocked: a keepout ("#")
+//	2                  — the die's edge: the slab's frame (see Grid)
 //	idx<<2 | kind      — a cell of net #idx (idx >= 1), where kind is one of
 //	                     the four per-net markers below
 //
-// Reserving 0 for empty and 1 for out-of-bounds/blocked (instead of
-// overloading a user-visible string) fixes the old ambiguity where a net
-// literally named "#" was indistinguishable from a keepout; names that
-// collide with the marker bytes are now rejected at Route time.
+// Reserving 0 for empty and 1 for blocked (instead of overloading a
+// user-visible string) fixes the old ambiguity where a net literally named
+// "#" was indistinguishable from a keepout; names that collide with the
+// marker bytes are now rejected at Route time. The edge is blocked like a
+// keepout, but it is never an aggressor and never decoded: every scan
+// across a wire stops there, and Owner reads a cell off the die as "#".
 const (
 	cellEmpty   int32 = 0
 	cellBlocked int32 = 1
+	cellEdge    int32 = 2
 )
 
 // Per-net cell kinds, stored in the low two bits of a net-derived ID.

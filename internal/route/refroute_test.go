@@ -2,9 +2,11 @@ package route
 
 // A retained copy of the pre-interning, string-keyed sequential router.
 // This is the reference implementation the interned-ID core is proven
-// against: refRoute must produce byte-identical results (segments,
-// wirelength, vias, failures, shield length, audit findings) to Route at
-// every worker count. It lives in a _test.go file so no dead code ships.
+// against: refRoute must produce byte-identical results (wirelength, vias,
+// failures, shield length, audit findings and every grid cell) to Route.
+// It lives in a _test.go file so no dead code ships. It keeps the
+// coordinate nodes and wire segments the production router no longer
+// has.
 
 import (
 	"fmt"
@@ -13,6 +15,17 @@ import (
 	"cadinterop/internal/geom"
 	"cadinterop/internal/phys"
 )
+
+// node is a die cell on a layer.
+type node struct {
+	l, x, y int
+}
+
+// Segment is one routed wire piece in grid coordinates.
+type Segment struct {
+	Layer int // 0 = horizontal layer, 1 = vertical layer
+	A, B  geom.Point
+}
 
 type refGrid struct {
 	W, H     int

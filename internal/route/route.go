@@ -58,15 +58,9 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-// Segment is one routed wire piece in grid coordinates.
-type Segment struct {
-	Layer int // 0 = horizontal layer, 1 = vertical layer
-	A, B  geom.Point
-}
-
-// Result is the routing outcome plus the occupancy grid for auditing.
+// Result is the routing outcome plus the occupancy grid for auditing. The
+// grid is the one record of the routed wires.
 type Result struct {
-	Segments    map[string][]Segment
 	Wirelength  int
 	Vias        int
 	Failed      []string
@@ -81,12 +75,13 @@ type Result struct {
 // clearance halo, "?"+net = pending pin reservation).
 //
 // Both layers live in one slab, own. Each layer is (W+2)×(H+2) cells: the
-// die plus a frame of cellBlocked one cell wide, which nothing ever
-// writes. A search step from a die cell therefore always lands inside the
-// slab, and leaving the die reads as blocked, so bfs moves by a flat
-// offset with no bounds check (DESIGN.md §5c). index maps a die cell to
-// its slab index; W, H and every exported signature stay in die
-// coordinates.
+// die plus a frame of cellEdge one cell wide, which nothing ever writes. A
+// step from a die cell therefore always lands inside the slab. The search
+// reads the frame as blocked, and every scan across a wire stops there, so
+// both move by flat offsets with no bounds check (DESIGN.md §5c). index
+// maps a die cell to its slab index, and only pins, keepouts and Owner,
+// where die coordinates cross the grid's boundary, call it. W, H and every
+// exported signature stay in die coordinates.
 type Grid struct {
 	W, H  int
 	Pitch int
@@ -124,12 +119,12 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 		own: make([]int32, 2*layer), stride: stride, layer: layer, pin: make([]uint8, layer)}
 	for base := 0; base < len(g.own); base += layer {
 		for x := 0; x < stride; x++ {
-			g.own[base+x] = cellBlocked
-			g.own[base+layer-stride+x] = cellBlocked
+			g.own[base+x] = cellEdge
+			g.own[base+layer-stride+x] = cellEdge
 		}
 		for row := base + stride; row < base+layer-stride; row += stride {
-			g.own[row] = cellBlocked
-			g.own[row+stride-1] = cellBlocked
+			g.own[row] = cellEdge
+			g.own[row+stride-1] = cellEdge
 		}
 	}
 	return g
@@ -148,39 +143,44 @@ func (g *Grid) index(l, x, y int) int {
 	return l*g.layer + (y+1)*g.stride + x + 1
 }
 
-// nodeAt returns the die cell at slab index i.
-func (g *Grid) nodeAt(i int32) node {
-	n := node{}
-	if int(i) >= g.layer {
-		n.l = 1
-		i -= int32(g.layer)
-	}
-	n.y = int(i)/g.stride - 1
-	n.x = int(i)%g.stride - 1
-	return n
-}
-
 // inDie reports whether (x, y) is a die cell.
 func (g *Grid) inDie(x, y int) bool {
 	return x >= 0 && y >= 0 && x < g.W && y < g.H
 }
 
-// isPin reports whether a cell is a pin landing pad.
-func (g *Grid) isPin(x, y int) bool {
-	if !g.inDie(x, y) {
-		return false
+// pinCell returns the slab index of a pin's landing cell on layer 0, and
+// false for a pin off the die.
+func (g *Grid) pinCell(p geom.Point) (int, bool) {
+	if !g.inDie(p.X, p.Y) {
+		return 0, false
 	}
-	return g.pin[g.index(0, x, y)]&pinPad != 0
+	return g.index(0, p.X, p.Y), true
 }
 
-// markPin flags an in-die cell as a pin pad and it and its four
-// neighbours as near a pin; pins outside the die mark nothing. A
-// neighbour outside the die is a frame cell, whose flags nothing reads.
-func (g *Grid) markPin(x, y int) {
-	if !g.inDie(x, y) {
-		return
+// across returns the slab offset of one track across the wires of slab
+// index i's layer: along y (stride) on the horizontal layer 0, along x (1)
+// on layer 1. Width, spacing, shield and halo windows all lie across a
+// wire.
+func (g *Grid) across(i int) int {
+	if i < g.layer {
+		return g.stride
 	}
-	i := g.index(0, x, y)
+	return 1
+}
+
+// isPad reports whether slab index i, on either layer, lies over a pin
+// landing pad. No frame cell is a pad.
+func (g *Grid) isPad(i int) bool {
+	if i >= g.layer {
+		i -= g.layer
+	}
+	return g.pin[i]&pinPad != 0
+}
+
+// markPin flags die cell i of layer 0 as a pin pad and it and its four
+// neighbours as near a pin. A neighbour outside the die is a frame cell,
+// whose flags nothing reads.
+func (g *Grid) markPin(i int) {
 	g.pin[i] |= pinPad | pinNear
 	g.pin[i-1] |= pinNear
 	g.pin[i+1] |= pinNear
@@ -193,22 +193,10 @@ func (g *Grid) markPin(x, y int) {
 // would collide with the sentinel vocabulary are rejected by Route, so the
 // decoding is unambiguous.
 func (g *Grid) Owner(layer, x, y int) string {
-	return g.tab.decode(g.owner(layer, x, y))
-}
-
-// owner returns the interned occupant of a cell.
-func (g *Grid) owner(layer, x, y int) int32 {
 	if !g.inDie(x, y) {
-		return cellBlocked
+		return g.tab.decode(cellBlocked)
 	}
-	return g.own[g.index(layer, x, y)]
-}
-
-func (g *Grid) set(layer, x, y int, id int32) {
-	if !g.inDie(x, y) {
-		return
-	}
-	g.own[g.index(layer, x, y)] = id
+	return g.tab.decode(g.own[g.index(layer, x, y)])
 }
 
 // Route connects every multi-pin net of the design's top cell.
@@ -342,11 +330,16 @@ func reservePins(g *Grid, netPins map[string][]geom.Point) {
 	for _, n := range names {
 		sig, _ := g.tab.lookup(n)
 		for _, p := range netPins[n] {
-			g.markPin(p.X, p.Y)
 			// Pins live on the horizontal layer only; the layer above
-			// stays routable for through-traffic.
-			if g.owner(0, p.X, p.Y) == cellEmpty {
-				g.set(0, p.X, p.Y, sig|kindPending)
+			// stays routable for through-traffic. A pin off the die marks
+			// and reserves nothing.
+			i, ok := g.pinCell(p)
+			if !ok {
+				continue
+			}
+			g.markPin(i)
+			if g.own[i] == cellEmpty {
+				g.own[i] = sig | kindPending
 			}
 		}
 	}
@@ -379,10 +372,10 @@ func normRule(r Rule) Rule {
 // failures, and stops at the maxFailed-th failed net.
 func routeAll(fab *Grid, sc *searchScratch, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) *Result {
 	g := fab.clone()
-	res := &Result{Segments: make(map[string][]Segment), grid: g}
+	res := &Result{grid: g}
 	for _, net := range order {
 		sig, _ := g.tab.lookup(net)
-		if err := routeNet(g, sc, res, net, sig, netPins[net], normRule(opts.Rules[net])); err != nil {
+		if err := routeNet(g, sc, res, sig, netPins[net], normRule(opts.Rules[net])); err != nil {
 			res.Failed = append(res.Failed, net)
 			res.FailReasons = append(res.FailReasons, err.Error())
 			if len(res.Failed) == maxFailed {
@@ -421,16 +414,16 @@ func freshGrid(d *phys.Design, opts Options, netPins map[string][]geom.Point) *G
 	g := NewGrid(d.Die, opts.Pitch)
 	g.plainBFS = opts.PlainBFS
 	for _, ko := range opts.Keepouts {
-		x0 := (ko.Min.X - d.Die.Min.X) / opts.Pitch
-		y0 := (ko.Min.Y - d.Die.Min.Y) / opts.Pitch
-		// The max edge is exclusive: a cell starting exactly at Max lies
-		// outside the keepout.
-		x1 := gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch)
-		y1 := gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch)
+		// A keepout blocks its cells on the die. The max edge is
+		// exclusive: a cell starting exactly at Max lies outside it.
+		x0 := max((ko.Min.X-d.Die.Min.X)/opts.Pitch, 0)
+		y0 := max((ko.Min.Y-d.Die.Min.Y)/opts.Pitch, 0)
+		x1 := min(gridMax(ko.Max.X-d.Die.Min.X, opts.Pitch), g.W-1)
+		y1 := min(gridMax(ko.Max.Y-d.Die.Min.Y, opts.Pitch), g.H-1)
 		for x := x0; x <= x1; x++ {
 			for y := y0; y <= y1; y++ {
-				g.set(0, x, y, cellBlocked)
-				g.set(1, x, y, cellBlocked)
+				g.own[g.index(0, x, y)] = cellBlocked
+				g.own[g.index(1, x, y)] = cellBlocked
 			}
 		}
 	}
@@ -450,41 +443,59 @@ func gridMax(v, pitch int) int {
 	return v / pitch
 }
 
-type node struct {
-	l, x, y int
-}
-
-// across returns the cell d tracks from n across its layer's direction:
-// along y on the horizontal layer 0, along x on layer 1. Width, spacing,
-// shield and halo windows all lie across a wire.
-func (n node) across(d int) node {
-	if n.l == 0 {
-		n.y += d
-	} else {
-		n.x += d
-	}
-	return n
-}
-
-// eachCell calls f on every cell of the net's signal wire, layer by
-// layer and row by row. The frame is blocked, so every cell is a die cell.
-func (g *Grid) eachCell(sig int32, f func(node)) {
+// eachCell calls f on the slab index of every cell of the net's signal
+// wire, layer by layer and row by row. The frame is never the net's, so
+// every cell is a die cell.
+func (g *Grid) eachCell(sig int32, f func(int)) {
 	for i, o := range g.own {
 		if o == sig {
-			f(g.nodeAt(int32(i)))
+			f(i)
 		}
 	}
 }
 
 // routeNet maze-routes one net on the grid, connecting pins one at a time
-// to the grown net region.
-func routeNet(g *Grid, sc *searchScratch, res *Result, net string, sig int32, pins []geom.Point, rule Rule) error {
-	paths, err := netPaths(g, sc, sig, pins, rule)
-	// Partial progress stays claimed and booked even when a later pin
-	// fails — the rip-up pass rebuilds the fabric from scratch anyway.
-	recordPaths(res, net, paths)
-	if err != nil {
-		return err
+// to the grown net region. Wire found before an error stays claimed and
+// booked, like a success: the rip-up pass routes a fresh copy of the
+// fabric anyway.
+func routeNet(g *Grid, sc *searchScratch, res *Result, sig int32, pins []geom.Point, rule Rule) error {
+	// Seed: the first pin. Pins claim at width 1 — the width rule governs
+	// wires; pad cells must not stomp on neighbors' halos.
+	if seed, ok := g.pinCell(pins[0]); ok {
+		claim(g, sig, seed, 1)
+	}
+	layer := int32(g.layer)
+	for _, p := range pins[1:] {
+		pin, ok := g.pinCell(p)
+		if ok && g.own[pin] == sig {
+			continue // already on the net (shared pin cell)
+		}
+		// The pin landing needs only its own cell (width rules govern
+		// wires).
+		if !ok || !usable(g, sig, pin, Rule{WidthTracks: 1}) {
+			return fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.name(sig))
+		}
+		met, err := bfs(g, sc, sig, int32(pin), rule)
+		if err != nil {
+			return err
+		}
+		// Walk the search back from the cell where it met the net to the
+		// pin, booking each step as a via or a track of wire. The met cell
+		// is the net's already: re-claiming it at full width would stomp
+		// neighbors the search never verified. The pin claims at width 1
+		// like the seed, every cell between at the rule's width.
+		for at, i := met, sc.prev[met]; i >= 0; at, i = i, sc.prev[i] {
+			if (at >= layer) != (i >= layer) {
+				res.Vias++
+			} else {
+				res.Wirelength++
+			}
+			width := rule.WidthTracks
+			if sc.prev[i] < 0 {
+				width = 1
+			}
+			claim(g, sig, int(i), width)
+		}
 	}
 	if rule.Shield {
 		res.ShieldLen += addMarkers(g, sig, sig|kindShield, 1)
@@ -497,74 +508,18 @@ func routeNet(g *Grid, sc *searchScratch, res *Result, net string, sig int32, pi
 	return nil
 }
 
-// netPaths is the search phase of one net: seed the first pin, then maze-
-// route every remaining pin to the grown region, claiming cells on g as it
-// goes. Paths found before an error are returned with it, so partial
-// progress is booked like a success.
-func netPaths(g *Grid, sc *searchScratch, sig int32, pins []geom.Point, rule Rule) ([][]node, error) {
-	// Seed: first pin on both layers. Pins claim at width 1 — the width
-	// rule governs wires; pad cells must not stomp on neighbors' halos.
-	seed := pins[0]
-	pinRule := Rule{WidthTracks: 1}
-	claim(g, sig, node{0, seed.X, seed.Y}, pinRule)
-	var paths [][]node
-	for _, target := range pins[1:] {
-		if g.owner(0, target.X, target.Y) == sig {
-			continue // already on the net (shared pin cell)
-		}
-		path, err := bfs(g, sc, sig, node{0, target.X, target.Y}, rule)
-		if err != nil {
-			return paths, err
-		}
-		claimPath(g, sig, path, rule)
-		paths = append(paths, path)
-	}
-	return paths, nil
-}
-
-// claimPath claims a found path. The pin landing (the last node) claims at
-// width 1 like the seed did, and the success cell (path[0]) is already
-// owned by the net — re-claiming it at full width would stomp neighbors
-// the search never verified.
-func claimPath(g *Grid, sig int32, path []node, rule Rule) {
-	for i := 1; i < len(path); i++ {
-		if i == len(path)-1 {
-			claim(g, sig, path[i], Rule{WidthTracks: 1})
-		} else {
-			claim(g, sig, path[i], rule)
-		}
-	}
-}
-
-// recordPaths books the segments, wirelength and via counts of a net's
-// search paths into the result.
-func recordPaths(res *Result, net string, paths [][]node) {
-	for _, path := range paths {
-		for i := 1; i < len(path); i++ {
-			p, n := path[i-1], path[i]
-			if p.l != n.l {
-				res.Vias++
-			} else {
-				res.Wirelength++
-				res.Segments[net] = append(res.Segments[net], Segment{
-					Layer: n.l, A: geom.Pt(p.x, p.y), B: geom.Pt(n.x, n.y)})
-			}
-		}
-	}
-}
-
 // addMarkers occupies the free cells within dist tracks across the net's
 // wires with marker and returns how many it took. Both markers are
 // obstacles to foreign nets: a shield ("!net", dist 1) is a grounded wire,
 // and a clearance halo ("~net") is empty space that audits ignore.
 func addMarkers(g *Grid, sig, marker int32, dist int) int {
 	added := 0
-	g.eachCell(sig, func(n node) {
-		for s := 1; s <= dist; s++ {
-			for _, d := range [2]int{-s, s} {
-				// A cell off the die reads as blocked.
-				if c := n.across(d); g.owner(c.l, c.x, c.y) == cellEmpty {
-					g.set(c.l, c.x, c.y, marker)
+	g.eachCell(sig, func(i int) {
+		step := g.across(i)
+		for _, d := range [2]int{-step, step} {
+			for s, c := 1, i+d; s <= dist && g.own[c] != cellEdge; s, c = s+1, c+d {
+				if g.own[c] == cellEmpty {
+					g.own[c] = marker
 					added++
 				}
 			}
@@ -573,38 +528,39 @@ func addMarkers(g *Grid, sig, marker int32, dist int) int {
 	return added
 }
 
-// claim marks a cell (and its width expansion across the layer) as owned
-// by net.
-func claim(g *Grid, sig int32, n node, rule Rule) {
-	for w := 0; w < rule.WidthTracks; w++ {
-		c := n.across(w)
-		g.set(c.l, c.x, c.y, sig)
+// claim marks slab index i and the width-1 cells beyond it across its
+// layer as owned by the net. A pin claims at width 1, and every wider
+// claim covers cells usable has accepted at that width, so no claim
+// reaches the frame.
+func claim(g *Grid, sig int32, i, width int) {
+	step := g.across(i)
+	for w := 0; w < width; w, i = w+1, i+step {
+		g.own[i] = sig
 	}
 }
 
-// usable reports whether the net may occupy cell n under its rule: the
-// cell (and width expansion) must be free or already the net's own, and
-// the spacing clearance must hold against foreign nets.
-func usable(g *Grid, sig int32, n node, rule Rule) bool {
-	for i := 0; i < rule.WidthTracks; i++ {
-		c := n.across(i)
-		if !g.inDie(c.x, c.y) {
-			return false
-		}
-		if o := g.owner(c.l, c.x, c.y); o != cellEmpty && !ownCell(o, sig) {
+// usable reports whether the net may occupy slab index i under its rule:
+// the cell (and width expansion) must be free or already the net's own,
+// and the spacing clearance must hold against foreign nets. Neither window
+// reads past the die's edge: the frame fails the width window and ends a
+// spacing window.
+func usable(g *Grid, sig int32, i int, rule Rule) bool {
+	step := g.across(i)
+	for w := 0; w < rule.WidthTracks; w, i = w+1, i+step {
+		if o := g.own[i]; o != cellEmpty && !ownCell(o, sig) {
 			return false
 		}
 		// Spacing: foreign occupants within the clearance window fail.
 		// Pin landing pads are exempt — spacing rules govern parallel
 		// wires, not fixed pin geometry.
-		if g.isPin(c.x, c.y) {
+		if g.isPad(i) {
 			continue
 		}
-		for s := 1; s <= rule.SpacingTracks; s++ {
-			for _, d := range [2]int{-s, s} {
+		for _, d := range [2]int{-step, step} {
+			for s, a := 1, i+d; s <= rule.SpacingTracks && g.own[a] != cellEdge; s, a = s+1, a+d {
 				// Spacing measures to real foreign wires; shields, halos
-				// and blockages are not aggressors.
-				if a := c.across(d); !g.isPin(a.x, a.y) && spacingAggressor(g.owner(a.l, a.x, a.y), sig) {
+				// and keepouts are not aggressors.
+				if !g.isPad(a) && spacingAggressor(g.own[a], sig) {
 					return false
 				}
 			}
@@ -613,21 +569,16 @@ func usable(g *Grid, sig int32, n node, rule Rule) bool {
 	return true
 }
 
-// bfs is a uniform-cost search from the target back to any cell already
-// owned by net. The cost function is congestion-aware: vias cost extra and
-// cells adjacent to pin landing pads are discouraged, so wires prefer open
-// fabric and leave pin escapes for the nets that need them. It walks slab
-// indices: a step along layer 0 is ±1, along layer 1 ±stride, and a via
-// ±layer, and the blocked frame stops it at the die's edge, so only window
-// rules (usable) and the returned path decode coordinates. All visited/
-// cost/frontier state lives in sc, the route's one search scratch
-// (scratch.go); the only allocation per call is the returned path, which
-// the caller retains.
-func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, error) {
-	// The pin landing needs only its own cell (width rules govern wires).
-	if !usable(g, sig, from, Rule{WidthTracks: 1}) {
-		return nil, fmt.Errorf("%w: net %s pin cell blocked", ErrRoute, g.tab.name(sig))
-	}
+// bfs is a uniform-cost search from the pin at slab index from back to any
+// cell already owned by net. It returns the cell where it met the net, and
+// sc.prev leads from there back to the pin. The cost function is
+// congestion-aware: vias cost extra and cells adjacent to pin landing pads
+// are discouraged, so wires prefer open fabric and leave pin escapes for
+// the nets that need them. It walks slab indices: a step along layer 0 is
+// ±1, along layer 1 ±stride, and a via ±layer, and the frame stops it at
+// the die's edge. All visited/cost/frontier state lives in sc, the route's
+// one search scratch (scratch.go), so a search allocates nothing.
+func bfs(g *Grid, sc *searchScratch, sig int32, from int32, rule Rule) (int32, error) {
 	sc.searches.Inc()
 	viaCost, pinAdjCost := 3, 4
 	if g.plainBFS {
@@ -640,9 +591,8 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 	own, pins := g.own, g.pin
 	layer, stride := int32(g.layer), int32(g.stride)
 	sc.reset()
-	start := int32(g.index(from.l, from.x, from.y))
-	sc.setDist(start, 0, -1)
-	sc.push(0, start)
+	sc.setDist(from, 0, -1)
+	sc.push(0, from)
 	maxCost := 0
 	for d := 0; d <= maxCost; d++ {
 		bkt := &sc.buckets[d%len(sc.buckets)]
@@ -653,7 +603,7 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 				continue // stale entry
 			}
 			if own[ci] == sig {
-				return sc.path(g, ci), nil
+				return ci, nil
 			}
 			// Moves in a fixed order: back along the layer's direction,
 			// forward along it, then the via.
@@ -669,7 +619,7 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 					if owner != cellEmpty && !ownCell(owner, sig) {
 						continue
 					}
-					if window && !usable(g, sig, g.nodeAt(ni), rule) {
+					if window && !usable(g, sig, int(ni), rule) {
 						continue
 					}
 				}
@@ -696,7 +646,7 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from node, rule Rule) ([]node, e
 			}
 		}
 	}
-	return nil, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.name(sig))
+	return -1, fmt.Errorf("%w: net %s unroutable", ErrRoute, g.tab.name(sig))
 }
 
 // --- audit -------------------------------------------------------------
@@ -722,10 +672,10 @@ func (r *Result) CouplingRun(net string) (worstNet string, run int) {
 		return "", 0
 	}
 	runs := make(map[int32]int)
-	g.eachCell(sig, func(n node) {
-		for _, d := range [2]int{-1, 1} {
-			a := n.across(d)
-			if o := g.owner(a.l, a.x, a.y); foreignSignal(o, sig) {
+	g.eachCell(sig, func(i int) {
+		step := g.across(i)
+		for _, a := range [2]int{i - step, i + step} {
+			if o := g.own[a]; foreignSignal(o, sig) {
 				runs[o]++
 			}
 		}
@@ -748,14 +698,16 @@ func (r *Result) actualMinWidth(net string) int {
 		return 0
 	}
 	min := 0
-	g.eachCell(sig, func(n node) {
-		if g.isPin(n.x, n.y) {
+	g.eachCell(sig, func(i int) {
+		if g.isPad(i) {
 			return
 		}
-		// Count contiguous own cells across the wire.
+		// Count contiguous own cells across the wire; the frame is no
+		// net's.
+		step := g.across(i)
 		w := 1
-		for _, dir := range [2]int{1, -1} {
-			for a := n.across(dir); g.owner(a.l, a.x, a.y) == sig; a = a.across(dir) {
+		for _, d := range [2]int{step, -step} {
+			for a := i + d; g.own[a] == sig; a += d {
 				w++
 			}
 		}
@@ -775,14 +727,15 @@ func (r *Result) minClearance(net string, window int) int {
 	if !ok {
 		return min
 	}
-	g.eachCell(sig, func(n node) {
-		if g.isPin(n.x, n.y) {
+	g.eachCell(sig, func(i int) {
+		if g.isPad(i) {
 			return
 		}
-		for s := 1; s <= window; s++ {
-			for _, d := range [2]int{-s, s} {
-				c := n.across(d)
-				if s < min && !g.isPin(c.x, c.y) && foreignSignal(g.owner(c.l, c.x, c.y), sig) {
+		step := g.across(i)
+		for _, d := range [2]int{-step, step} {
+			// Only a wire nearer than min can lower it.
+			for s, c := 1, i+d; s < min && g.own[c] != cellEdge; s, c = s+1, c+d {
+				if !g.isPad(c) && foreignSignal(g.own[c], sig) {
 					min = s
 				}
 			}
@@ -800,17 +753,18 @@ func (r *Result) shieldCoverage(net string) float64 {
 		return 1
 	}
 	var total, covered int
-	g.eachCell(sig, func(n node) {
-		if g.isPin(n.x, n.y) {
+	g.eachCell(sig, func(i int) {
+		if g.isPad(i) {
 			return
 		}
-		for _, d := range [2]int{-1, 1} {
-			a := n.across(d)
-			if !g.inDie(a.x, a.y) {
-				continue
+		step := g.across(i)
+		for _, a := range [2]int{i - step, i + step} {
+			o := g.own[a]
+			if o == cellEdge {
+				continue // off the die: no track to shield
 			}
 			total++
-			if o := g.owner(a.l, a.x, a.y); ownCell(o, sig) || isShieldOf(o, sig) || g.isPin(a.x, a.y) {
+			if ownCell(o, sig) || isShieldOf(o, sig) || g.isPad(a) {
 				covered++
 			}
 		}

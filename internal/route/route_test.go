@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cadinterop/internal/geom"
@@ -67,8 +68,8 @@ func TestRouteChain(t *testing.T) {
 	// n1..n5 connect consecutive buffers (n0 and n6 are single-pin).
 	for i := 1; i <= 5; i++ {
 		net := fmt.Sprintf("n%d", i)
-		if len(res.Segments[net]) == 0 {
-			t.Errorf("net %s has no segments", net)
+		if res.actualMinWidth(net) == 0 {
+			t.Errorf("net %s owns no wire off its pins", net)
 		}
 	}
 	if res.Wirelength == 0 || res.Vias == 0 {
@@ -160,13 +161,14 @@ func TestRouteKeepouts(t *testing.T) {
 	if len(res.Failed) != 0 {
 		t.Fatalf("failed: %v", res.Failed)
 	}
-	// The route for n1 must not pass through the keepout: every segment
-	// endpoint in grid coords must avoid blocked cells.
-	g := res.grid
-	for _, seg := range res.Segments["n1"] {
-		for _, p := range []geom.Point{seg.A, seg.B} {
-			if g.Owner(seg.Layer, p.X, p.Y) == "#" {
-				t.Errorf("segment endpoint %v inside keepout", p)
+	// The route for n1 must not pass through the keepout: its cells,
+	// x 4..5 and y 0..17 at pitch 10, stay blocked on both layers.
+	for l := 0; l < 2; l++ {
+		for x := 4; x <= 5; x++ {
+			for y := 0; y <= 17; y++ {
+				if o := res.grid.Owner(l, x, y); o != "#" {
+					t.Errorf("keepout cell (%d,%d,%d) = %q, want #", l, x, y, o)
+				}
 			}
 		}
 	}
@@ -234,11 +236,10 @@ func TestGridBounds(t *testing.T) {
 	if g.Owner(0, 5, 5) != "" {
 		t.Error("fresh grid cell should be empty")
 	}
-	g.set(0, 5, 5, x)
+	g.own[g.index(0, 5, 5)] = x
 	if g.Owner(0, 5, 5) != "x" {
 		t.Error("set/get broken")
 	}
-	g.set(0, -1, -1, x) // must not panic
 }
 
 // TestPinAdjacencyAtBorders: the pin-adjacency flag reservePins stores
@@ -286,8 +287,9 @@ func TestPinAdjacencyAtBorders(t *testing.T) {
 			}
 			for y := -1; y <= h; y++ {
 				for x := -1; x <= w; x++ {
-					if got, want := g.isPin(x, y), ref.isPin(x, y); got != want {
-						t.Errorf("isPin(%d,%d) = %v, want %v", x, y, got, want)
+					// The padded layer covers the frame, x = -1..w and y = -1..h.
+					if got, want := g.isPad(g.index(0, x, y)), ref.isPin(x, y); got != want {
+						t.Errorf("isPad at (%d,%d) = %v, want %v", x, y, got, want)
 					}
 					if x < 0 || y < 0 || x >= w || y >= h {
 						continue
@@ -299,5 +301,99 @@ func TestPinAdjacencyAtBorders(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWindowsMatchReference: every scan across a wire on the slab —
+// usable's width and spacing windows, addMarkers' halos and shields, and
+// the four audit measures — must agree with its coordinate twin in the
+// reference router, on grids of random occupancy: signal, pending, shield
+// and halo cells of three nets, keepouts and pin pads, on the border rows
+// and columns too, where a window meets the die's edge. Routed designs
+// rarely put wire there, and a window that walks past the frame or stops
+// at a keepout would still match them.
+func TestWindowsMatchReference(t *testing.T) {
+	nets := []string{"a", "b", "c"}
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		die := geom.R(0, 0, 10*(1+rng.Intn(9)), 10*(1+rng.Intn(7)))
+		g := NewGrid(die, 10)
+		g.tab = newInternTable(nets)
+		ref := refNewGrid(die, 10)
+		// Empty fabric is drawn 6 times in 22, a keepout once, and each
+		// net's wire twice, its pending pin, shield and halo once each.
+		kinds := []int32{cellEmpty, cellEmpty, cellEmpty, cellEmpty, cellEmpty, cellEmpty, cellBlocked}
+		for _, n := range nets {
+			sig, _ := g.tab.lookup(n)
+			kinds = append(kinds, sig, sig, sig|kindPending, sig|kindShield, sig|kindHalo)
+		}
+		for y := 0; y < g.H; y++ {
+			for x := 0; x < g.W; x++ {
+				for l := 0; l < 2; l++ {
+					o := kinds[rng.Intn(len(kinds))]
+					g.own[g.index(l, x, y)] = o
+					ref.set(l, x, y, g.tab.decode(o))
+				}
+				if rng.Intn(5) == 0 {
+					g.pin[g.index(0, x, y)] |= pinPad
+					ref.pin[y*ref.W+x] = true
+				}
+			}
+		}
+		res := &Result{grid: g}
+		for _, n := range nets {
+			sig, _ := g.tab.lookup(n)
+			for width := 1; width <= 3; width++ {
+				for spacing := 0; spacing <= 3; spacing++ {
+					rule := Rule{WidthTracks: width, SpacingTracks: spacing}
+					for l := 0; l < 2; l++ {
+						for y := 0; y < g.H; y++ {
+							for x := 0; x < g.W; x++ {
+								if got, want := usable(g, sig, g.index(l, x, y), rule), refUsable(ref, n, node{l, x, y}, rule); got != want {
+									t.Fatalf("seed %d: usable(%s, (%d,%d,%d), %+v) = %v, want %v", seed, n, l, x, y, rule, got, want)
+								}
+							}
+						}
+					}
+				}
+			}
+			if got, want := res.actualMinWidth(n), refActualMinWidth(ref, n); got != want {
+				t.Fatalf("seed %d: actualMinWidth(%s) = %d, want %d", seed, n, got, want)
+			}
+			for window := 1; window <= 4; window++ {
+				if got, want := res.minClearance(n, window), refMinClearance(ref, n, window); got != want {
+					t.Fatalf("seed %d: minClearance(%s, %d) = %d, want %d", seed, n, window, got, want)
+				}
+			}
+			if got, want := res.shieldCoverage(n), refShieldCoverage(ref, n); got != want {
+				t.Fatalf("seed %d: shieldCoverage(%s) = %v, want %v", seed, n, got, want)
+			}
+			gotNet, gotRun := res.CouplingRun(n)
+			if wantNet, wantRun := refCouplingRun(ref, n); gotNet != wantNet || gotRun != wantRun {
+				t.Fatalf("seed %d: CouplingRun(%s) = %s %d, want %s %d", seed, n, gotNet, gotRun, wantNet, wantRun)
+			}
+		}
+		sameCells := func(stage string) {
+			t.Helper()
+			for l := 0; l < 2; l++ {
+				for y := 0; y < g.H; y++ {
+					for x := 0; x < g.W; x++ {
+						if got, want := g.Owner(l, x, y), ref.owner(l, x, y); got != want {
+							t.Fatalf("seed %d, %s: cell (%d,%d,%d) = %q, want %q", seed, stage, l, x, y, got, want)
+						}
+					}
+				}
+			}
+		}
+		for _, n := range nets {
+			sig, _ := g.tab.lookup(n)
+			addMarkers(g, sig, sig|kindHalo, 3)
+			refAddHalo(ref, n, 3)
+			sameCells("halo of " + n)
+			if got, want := addMarkers(g, sig, sig|kindShield, 1), refAddShields(ref, n); got != want {
+				t.Fatalf("seed %d: %s took %d shield cells, want %d", seed, n, got, want)
+			}
+			sameCells("shields of " + n)
+		}
 	}
 }

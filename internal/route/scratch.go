@@ -6,8 +6,9 @@ import "cadinterop/internal/obs"
 // validity is tracked with epoch stamps: "clearing" a buffer is a single
 // counter increment, not an O(cells) wipe. Route allocates one scratch and
 // every search of every pass reuses it — every pass routes on a copy of
-// the same fabric, and searches run one at a time — so a search allocates
-// nothing but the path it returns (see DESIGN.md §5c).
+// the same fabric, and searches run one at a time. A search returns only
+// the cell where it met the net, and routeNet walks prev back from there,
+// so a search allocates nothing (see DESIGN.md §5c).
 
 // searchScratch holds one bfs invocation's visited/cost/frontier state.
 type searchScratch struct {
@@ -15,8 +16,8 @@ type searchScratch struct {
 	// bits) into one word, so one load answers both "reached in this
 	// search?" and "at what cost?". Costs are never negative.
 	seen []uint64
-	// prev is a cell's predecessor slab index (-1 = search root), valid
-	// while its seen stamp is the current epoch.
+	// prev is a cell's predecessor slab index (-1 = search root, the
+	// pin), valid while its seen stamp is the current epoch.
 	prev []int32
 	// epoch is the current search's stamp, already shifted into seen's
 	// high half.
@@ -27,8 +28,8 @@ type searchScratch struct {
 	// in [d, d+7], and each bucket holds a single cost. The slices are
 	// reused across searches.
 	buckets [8][]int32
-	// searches counts the searches that pass the pin-cell check
-	// (route.bfs.searches; nil when Options.Metrics is unset).
+	// searches counts the searches run (route.bfs.searches; nil when
+	// Options.Metrics is unset).
 	searches *obs.Counter
 }
 
@@ -53,46 +54,27 @@ func (sc *searchScratch) reset() {
 	}
 }
 
-// push appends a node to the cost-d frontier.
+// push appends a cell to the cost-d frontier.
 func (sc *searchScratch) push(d int, i int32) {
 	b := &sc.buckets[d%len(sc.buckets)]
 	*b = append(*b, i)
 }
 
-// reached reports whether a node was reached this search at cost d or
+// reached reports whether a cell was reached this search at cost d or
 // less. A stamp from an earlier search is below epoch, so the unsigned
 // difference wraps past any cost.
 func (sc *searchScratch) reached(i int32, d int) bool {
 	return sc.seen[i]-sc.epoch <= uint64(d)
 }
 
-// settled reports whether a node popped from the cost-d bucket still has
+// settled reports whether a cell popped from the cost-d bucket still has
 // cost d, that is, no cheaper push superseded the entry.
 func (sc *searchScratch) settled(i int32, d int) bool {
 	return sc.seen[i] == sc.epoch|uint64(d)
 }
 
-// setDist records a node's cost and predecessor.
+// setDist records a cell's cost and predecessor.
 func (sc *searchScratch) setDist(i int32, d int, from int32) {
 	sc.seen[i] = sc.epoch | uint64(d)
 	sc.prev[i] = from
-}
-
-// path returns the search path that met the net at slab index i: path[0]
-// is that cell and the last node the search's start, the target pin. It
-// counts first, then fills, so the path is a single right-sized
-// allocation.
-func (sc *searchScratch) path(g *Grid, i int32) []node {
-	steps := 1
-	for j := i; sc.prev[j] >= 0; j = sc.prev[j] {
-		steps++
-	}
-	path := make([]node, steps)
-	for j := 0; ; j++ {
-		path[j] = g.nodeAt(i)
-		if sc.prev[i] < 0 {
-			return path
-		}
-		i = sc.prev[i]
-	}
 }
