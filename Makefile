@@ -72,8 +72,12 @@ race:
 # Allocation-regression gate: the AllocsPerRun tests (tagged !race) that pin
 # the router's search at zero allocations and the sim kernel's
 # steady-state hot paths at ~zero (DESIGN.md §5c), a whole Route through
-# its rip-up passes (one fabric per Route, one slab and one result per
-# pass, nothing per search or per wire step), the memo cache's disabled path, a
+# its rip-up passes (one fabric per Route, one result per pass, at most two
+# slabs besides the fabric's, nothing per search or per wire step), the
+# placer's swap loop (TestPlaceAllocs: a Place at eight swap passes
+# allocates no more than one at a single pass, so no trial allocates),
+# HPWL (TestHPWLAllocs: one running bounding box per net, no per-net pin
+# list), the memo cache's disabled path, a
 # /v1/migrate cache hit (which parses no cd), and the s-expression reader's
 # arena: allocations per net of an in-memory exchange read (ReadBytes),
 # allocations of a 40 KB cd read, the cost of a short a/L parse, and the
@@ -84,7 +88,7 @@ race:
 # bytes a cached vet of a 0.5 MB file allocates, which must not grow with
 # the file (filecheck reads it into a pooled buffer).
 allocs:
-	$(GO) test -run 'Allocs' ./internal/route ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd ./internal/filecheck
+	$(GO) test -run 'Allocs' ./internal/route ./internal/place ./internal/phys ./internal/sim ./internal/obs ./internal/workflow ./internal/memo ./internal/serve ./internal/al ./internal/exchange ./internal/schematic/cd ./internal/filecheck
 
 # Coverage gate (see COVER_MIN / COVER_OBS_MIN above). One merged profile
 # over every package, then the same profile filtered to internal/obs —

@@ -423,43 +423,31 @@ func (d *Design) CheckPlacement() error {
 }
 
 // HPWL computes the half-perimeter wirelength over all nets with at least
-// two placed pins — the standard placement quality metric.
+// two placed pins — the standard placement quality metric. It keeps one
+// running bounding box per net; a net with one pin has an empty box, which
+// adds nothing. Any pin whose position fails fails the sum.
 func (d *Design) HPWL() (int, error) {
 	c := d.TopCell()
-	// net -> points
-	pts := make(map[string][]geom.Point)
-	for _, in := range c.InstanceNames() {
+	names := c.InstanceNames()
+	// A chain design has about one net per instance.
+	boxes := make(map[string]geom.Rect, len(names)+1)
+	for _, in := range names {
 		inst := c.Instances[in]
 		for pin, net := range inst.Conns {
 			p, err := d.PinPos(in, pin)
 			if err != nil {
 				return 0, err
 			}
-			pts[net] = append(pts[net], p)
+			at := geom.Rect{Min: p, Max: p}
+			if box, ok := boxes[net]; ok {
+				at = box.Union(at)
+			}
+			boxes[net] = at
 		}
 	}
 	total := 0
-	for _, ps := range pts {
-		if len(ps) < 2 {
-			continue
-		}
-		minX, minY := ps[0].X, ps[0].Y
-		maxX, maxY := minX, minY
-		for _, p := range ps[1:] {
-			if p.X < minX {
-				minX = p.X
-			}
-			if p.X > maxX {
-				maxX = p.X
-			}
-			if p.Y < minY {
-				minY = p.Y
-			}
-			if p.Y > maxY {
-				maxY = p.Y
-			}
-		}
-		total += (maxX - minX) + (maxY - minY)
+	for _, box := range boxes {
+		total += box.Dx() + box.Dy()
 	}
 	return total, nil
 }

@@ -213,6 +213,17 @@ func TestHPWL(t *testing.T) {
 	if got != 64 {
 		t.Errorf("HPWL = %d, want 64", got)
 	}
+	// A pin whose position fails fails the sum: an unplaced instance, and
+	// a connection to a pin its macro lacks.
+	delete(d.Placements, "u2")
+	if _, err := d.HPWL(); !errors.Is(err, ErrBadDesign) {
+		t.Errorf("unplaced instance: HPWL error = %v, want ErrBadDesign", err)
+	}
+	d = buildDesign(t)
+	d.TopCell().Connect("u2", "Z", "n1")
+	if _, err := d.HPWL(); !errors.Is(err, ErrBadDesign) {
+		t.Errorf("missing pin: HPWL error = %v, want ErrBadDesign", err)
+	}
 }
 
 func TestNewDesignErrors(t *testing.T) {

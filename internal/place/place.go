@@ -6,10 +6,11 @@
 package place
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"cadinterop/internal/geom"
 	"cadinterop/internal/phys"
@@ -51,14 +52,13 @@ func Place(d *phys.Design, opts Options) (*Result, error) {
 		return nil, fmt.Errorf("%w: site height %d", ErrPlace, rowH)
 	}
 
-	order := bfsOrder(d, names)
+	ix := newIndex(d, names)
+	order := ix.bfsOrder()
 
-	// Pack rows left-to-right, skipping keepouts.
-	type slot struct {
-		pos  geom.Point
-		w, h int
-	}
-	var placedOrder []string
+	// Pack rows left-to-right, skipping keepouts. Each placement lands in
+	// d.Placements at once, so a design that does not fit keeps the ones
+	// made before it ran out of rows.
+	pl := make([]phys.Placement, len(names))
 	rows := 0
 	y := d.Die.Min.Y
 	i := 0
@@ -69,20 +69,20 @@ func Place(d *phys.Design, opts Options) (*Result, error) {
 		x := d.Die.Min.X
 		rows++
 		for i < len(order) {
-			inst := top.Instances[order[i]]
-			m, _ := d.Lib.Macro(inst.Master)
-			if x+m.Size.X > d.Die.Max.X {
+			in := order[i]
+			size := ix.size[in]
+			if x+size.X > d.Die.Max.X {
 				break // next row
 			}
-			r := geom.R(x, y, x+m.Size.X, y+rowH)
+			r := geom.R(x, y, x+size.X, y+rowH)
 			if ko := hitKeepout(r, opts.Keepouts); ko != nil {
 				// Jump past the keepout.
 				x = ko.Max.X
 				continue
 			}
-			d.Placements[order[i]] = phys.Placement{Pos: geom.Pt(x, y), Orient: geom.R0}
-			placedOrder = append(placedOrder, order[i])
-			x += m.Size.X
+			pl[in] = phys.Placement{Pos: geom.Pt(x, y), Orient: geom.R0}
+			d.Placements[names[in]] = pl[in]
+			x += size.X
 			i++
 		}
 		y += rowH
@@ -95,32 +95,30 @@ func Place(d *phys.Design, opts Options) (*Result, error) {
 	}
 	res.InitialHPWL = hp
 
-	// Pairwise swap improvement among equal-width cells.
-	idx := buildNetIndex(d)
+	// Pairwise swap improvement among equal-width cells, on pl. Every
+	// instance is placed by now, so order lists them all; d.Placements
+	// takes the result once the loop ends.
 	rng := rand.New(rand.NewSource(opts.Seed))
-	n := len(placedOrder)
+	n := len(order)
 	for pass := 0; pass < opts.SwapPasses; pass++ {
 		for trial := 0; trial < n*4; trial++ {
-			a := placedOrder[rng.Intn(n)]
-			b := placedOrder[rng.Intn(n)]
-			if a == b {
+			a := order[rng.Intn(n)]
+			b := order[rng.Intn(n)]
+			if a == b || ix.size[a] != ix.size[b] {
 				continue
 			}
-			ma, _ := d.Lib.Macro(top.Instances[a].Master)
-			mb, _ := d.Lib.Macro(top.Instances[b].Master)
-			if ma.Size != mb.Size {
-				continue
-			}
-			before := idx.hpwlAround(d, a) + idx.hpwlAround(d, b)
-			pa, pb := d.Placements[a], d.Placements[b]
-			d.Placements[a], d.Placements[b] = pb, pa
-			after := idx.hpwlAround(d, a) + idx.hpwlAround(d, b)
+			before := ix.hpwlAround(pl, a) + ix.hpwlAround(pl, b)
+			pl[a], pl[b] = pl[b], pl[a]
+			after := ix.hpwlAround(pl, a) + ix.hpwlAround(pl, b)
 			if after >= before {
-				d.Placements[a], d.Placements[b] = pa, pb
+				pl[a], pl[b] = pl[b], pl[a]
 				continue
 			}
 			res.Swaps++
 		}
+	}
+	for i, p := range pl {
+		d.Placements[names[i]] = p
 	}
 	hp, err = d.HPWL()
 	if err != nil {
@@ -139,126 +137,146 @@ func hitKeepout(r geom.Rect, kos []geom.Rect) *geom.Rect {
 	return nil
 }
 
-// bfsOrder orders instances by connectivity from the most-connected seed,
-// so tightly coupled cells land near each other in the packing.
-func bfsOrder(d *phys.Design, names []string) []string {
+// index is Place's dense view of the top cell, built once per call.
+// Instance i is the i-th name in InstanceNames order, so sorting instance
+// numbers sorts names; nets are numbered as they are first met.
+type index struct {
+	// size is each instance's macro size, degree its number of
+	// connections.
+	size   []geom.Point
+	degree []int
+	// nets[netAt[i]:netAt[i+1]] are instance i's distinct nets, in pin
+	// name order.
+	nets, netAt []int32
+	// pins[pinAt[n]:pinAt[n+1]] are net n's pins, in instance order.
+	pins  []pin
+	pinAt []int32
+}
+
+// pin is one connection of an instance to a net, with the pin's centre in
+// the instance's macro frame.
+type pin struct {
+	net, inst int32
+	centre    geom.Point
+}
+
+func newIndex(d *phys.Design, names []string) *index {
 	top := d.TopCell()
-	// adjacency via shared nets
-	netInsts := make(map[string][]string)
-	for _, in := range names {
-		for _, net := range top.Instances[in].Conns {
-			netInsts[net] = append(netInsts[net], in)
+	ix := &index{
+		size:   make([]geom.Point, len(names)),
+		degree: make([]int, len(names)),
+		netAt:  make([]int32, len(names)+1),
+	}
+	// A chain design has about one net per instance.
+	ids := make(map[string]int32, len(names)+1)
+	var pinNames []string
+	for i, in := range names {
+		inst := top.Instances[in]
+		m, _ := d.Lib.Macro(inst.Master)
+		ix.size[i] = m.Size
+		ix.degree[i] = len(inst.Conns)
+		pinNames = pinNames[:0]
+		for p := range inst.Conns {
+			pinNames = append(pinNames, p)
+		}
+		slices.Sort(pinNames)
+		first := len(ix.nets)
+		for _, p := range pinNames {
+			net := inst.Conns[p]
+			id, ok := ids[net]
+			if !ok {
+				id = int32(len(ids))
+				ids[net] = id
+			}
+			if !slices.Contains(ix.nets[first:], id) {
+				ix.nets = append(ix.nets, id)
+			}
+			// A pin the macro lacks keeps a zero centre: d.HPWL fails on
+			// it before the swap loop could read it.
+			var centre geom.Point
+			if mp, ok := m.Pin(p); ok {
+				centre = mp.Center()
+			}
+			ix.pins = append(ix.pins, pin{net: id, inst: int32(i), centre: centre})
+		}
+		ix.netAt[i+1] = int32(len(ix.nets))
+	}
+	slices.SortStableFunc(ix.pins, func(a, b pin) int { return cmp.Compare(a.net, b.net) })
+	ix.pinAt = make([]int32, len(ids)+1)
+	for _, p := range ix.pins {
+		ix.pinAt[p.net+1]++
+	}
+	for n := 1; n < len(ix.pinAt); n++ {
+		ix.pinAt[n] += ix.pinAt[n-1]
+	}
+	return ix
+}
+
+// netsOf returns instance i's distinct nets.
+func (ix *index) netsOf(i int32) []int32 {
+	return ix.nets[ix.netAt[i]:ix.netAt[i+1]]
+}
+
+// pinsOf returns net n's pins.
+func (ix *index) pinsOf(n int32) []pin {
+	return ix.pins[ix.pinAt[n]:ix.pinAt[n+1]]
+}
+
+// bfsOrder orders instances by connectivity from the most-connected seed,
+// so tightly coupled cells land near each other in the packing. Each
+// instance's unvisited neighbours join the queue in name order, and the
+// queue is the order itself.
+func (ix *index) bfsOrder() []int32 {
+	n := int32(len(ix.size))
+	seed := int32(0)
+	for i := range n {
+		if ix.degree[i] > ix.degree[seed] || (ix.degree[i] == ix.degree[seed] && i < seed) {
+			seed = i
 		}
 	}
-	degree := make(map[string]int)
-	for _, in := range names {
-		degree[in] = len(top.Instances[in].Conns)
-	}
-	seed := names[0]
-	for _, in := range names {
-		if degree[in] > degree[seed] || (degree[in] == degree[seed] && in < seed) {
-			seed = in
+	queued := make([]bool, n)
+	queued[seed] = true
+	order := append(make([]int32, 0, n), seed)
+	var nbrs []int32
+	for head := 0; head < len(order); head++ {
+		nbrs = nbrs[:0]
+		for _, net := range ix.netsOf(order[head]) {
+			for _, p := range ix.pinsOf(net) {
+				nbrs = append(nbrs, p.inst)
+			}
 		}
-	}
-	visited := map[string]bool{}
-	var order []string
-	queue := []string{seed}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if visited[cur] {
-			continue
-		}
-		visited[cur] = true
-		order = append(order, cur)
-		var nbrs []string
-		for _, net := range top.Instances[cur].Conns {
-			nbrs = append(nbrs, netInsts[net]...)
-		}
-		sort.Strings(nbrs)
+		slices.Sort(nbrs)
 		for _, nb := range nbrs {
-			if !visited[nb] {
-				queue = append(queue, nb)
+			if !queued[nb] {
+				queued[nb] = true
+				order = append(order, nb)
 			}
 		}
 	}
 	// Disconnected leftovers in name order.
-	for _, in := range names {
-		if !visited[in] {
-			order = append(order, in)
+	for i := range n {
+		if !queued[i] {
+			order = append(order, i)
 		}
 	}
 	return order
 }
 
-// netIndex accelerates incremental HPWL deltas.
-type netIndex struct {
-	// instNets lists nets touching each instance.
-	instNets map[string][]string
-	// netPins lists (inst, pin) per net.
-	netPins map[string][][2]string
-}
-
-func buildNetIndex(d *phys.Design) *netIndex {
-	top := d.TopCell()
-	ni := &netIndex{
-		instNets: make(map[string][]string),
-		netPins:  make(map[string][][2]string),
-	}
-	for _, in := range top.InstanceNames() {
-		inst := top.Instances[in]
-		seen := map[string]bool{}
-		pins := make([]string, 0, len(inst.Conns))
-		for pin := range inst.Conns {
-			pins = append(pins, pin)
-		}
-		sort.Strings(pins)
-		for _, pin := range pins {
-			net := inst.Conns[pin]
-			ni.netPins[net] = append(ni.netPins[net], [2]string{in, pin})
-			if !seen[net] {
-				seen[net] = true
-				ni.instNets[in] = append(ni.instNets[in], net)
-			}
-		}
-	}
-	return ni
-}
-
-// hpwlAround sums HPWL over nets touching one instance.
-func (ni *netIndex) hpwlAround(d *phys.Design, inst string) int {
+// hpwlAround sums the half-perimeter wirelength of instance i's nets with
+// the instances placed at pl.
+func (ix *index) hpwlAround(pl []phys.Placement, i int32) int {
 	total := 0
-	for _, net := range ni.instNets[inst] {
-		pins := ni.netPins[net]
-		if len(pins) < 2 {
-			continue
-		}
-		first := true
-		var minX, minY, maxX, maxY int
-		for _, ip := range pins {
-			p, err := d.PinPos(ip[0], ip[1])
-			if err != nil {
-				continue
-			}
-			if first {
-				minX, maxX, minY, maxY = p.X, p.X, p.Y, p.Y
-				first = false
-				continue
-			}
-			if p.X < minX {
-				minX = p.X
-			}
-			if p.X > maxX {
-				maxX = p.X
-			}
-			if p.Y < minY {
-				minY = p.Y
-			}
-			if p.Y > maxY {
-				maxY = p.Y
+	for _, net := range ix.netsOf(i) {
+		var box geom.Rect
+		for k, p := range ix.pinsOf(net) {
+			at := geom.Transform{Orient: pl[p.inst].Orient, Offset: pl[p.inst].Pos}.Apply(p.centre)
+			if k == 0 {
+				box = geom.Rect{Min: at, Max: at}
+			} else {
+				box = box.Union(geom.Rect{Min: at, Max: at})
 			}
 		}
-		total += (maxX - minX) + (maxY - minY)
+		total += box.Dx() + box.Dy()
 	}
 	return total
 }

@@ -130,7 +130,8 @@ func TestPlaceBadSiteHeight(t *testing.T) {
 
 func TestBFSOrderConnectivity(t *testing.T) {
 	d := mkDesign(t, 8, geom.R(0, 0, 400, 200))
-	order := bfsOrder(d, d.TopCell().InstanceNames())
+	names := d.TopCell().InstanceNames()
+	order := newIndex(d, names).bfsOrder()
 	if len(order) != 8 {
 		t.Fatalf("order = %v", order)
 	}
@@ -139,7 +140,7 @@ func TestBFSOrderConnectivity(t *testing.T) {
 	// be small.
 	pos := map[string]int{}
 	for i, n := range order {
-		pos[n] = i
+		pos[names[n]] = i
 	}
 	if d := pos["u03"] - pos["u04"]; d > 3 || d < -3 {
 		t.Errorf("chain neighbors far apart in order: %v", order)

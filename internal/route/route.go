@@ -92,9 +92,11 @@ type Grid struct {
 	// stride is the padded row length (W+2) and layer the padded layer
 	// size ((W+2)×(H+2)); layer 1 starts at own[layer].
 	stride, layer int
-	// pin holds per-cell pin flags (pinPad, pinNear), one padded layer
-	// indexed like layer 0 of own. Only reservePins writes it, so it is
-	// fixed for the whole of a Route and every attempt's grid shares it.
+	// pin holds per-cell pin flags (pinNear, pinPad) for both layers,
+	// indexed like own: a pin's flags lie on layer 1 as on layer 0, so no
+	// reader folds one layer onto the other. Only reservePins writes it, so
+	// it is fixed for the whole of a Route and every attempt's grid shares
+	// it.
 	pin []uint8
 	// plainBFS disables congestion-aware costs (ablation).
 	plainBFS bool
@@ -102,11 +104,12 @@ type Grid struct {
 
 // Pin flags, one byte per cell of Grid.pin.
 const (
-	// pinPad marks a pin landing pad, exempt from spacing windows.
-	pinPad uint8 = 1 << iota
 	// pinNear marks a pad or a cell directly beside one: the cells the
-	// search charges the pin-adjacency cost.
-	pinNear
+	// search charges the pin-adjacency cost. It is bit 0, so a cell's flags
+	// masked with it index the search's step-cost table.
+	pinNear uint8 = 1 << iota
+	// pinPad marks a pin landing pad, exempt from spacing windows.
+	pinPad
 )
 
 // NewGrid allocates a fabric covering the die.
@@ -116,7 +119,7 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 	stride := w + 2
 	layer := stride * (h + 2)
 	g := &Grid{W: w, H: h, Pitch: pitch,
-		own: make([]int32, 2*layer), stride: stride, layer: layer, pin: make([]uint8, layer)}
+		own: make([]int32, 2*layer), stride: stride, layer: layer, pin: make([]uint8, 2*layer)}
 	for base := 0; base < len(g.own); base += layer {
 		for x := 0; x < stride; x++ {
 			g.own[base+x] = cellEdge
@@ -130,9 +133,14 @@ func NewGrid(die geom.Rect, pitch int) *Grid {
 	return g
 }
 
-// clone returns a grid over a copy of g's cells. It shares g's intern
-// table and pin flags, which no routing pass writes.
-func (g *Grid) clone() *Grid {
+// clone returns a grid over a copy of g's cells, copied into spare's slab
+// when spare is a grid cloned from g before. It shares g's intern table and
+// pin flags, which no routing pass writes.
+func (g *Grid) clone(spare *Grid) *Grid {
+	if spare != nil {
+		copy(spare.own, g.own)
+		return spare
+	}
 	c := *g
 	c.own = slices.Clone(g.own)
 	return &c
@@ -171,21 +179,21 @@ func (g *Grid) across(i int) int {
 // isPad reports whether slab index i, on either layer, lies over a pin
 // landing pad. No frame cell is a pad.
 func (g *Grid) isPad(i int) bool {
-	if i >= g.layer {
-		i -= g.layer
-	}
 	return g.pin[i]&pinPad != 0
 }
 
-// markPin flags die cell i of layer 0 as a pin pad and it and its four
-// neighbours as near a pin. A neighbour outside the die is a frame cell,
-// whose flags nothing reads.
+// markPin flags die cell i of layer 0, and the cell above it on layer 1,
+// as a pin pad, and each of them and its four neighbours in its layer as
+// near a pin. A neighbour outside the die is a frame cell, whose flags
+// nothing reads.
 func (g *Grid) markPin(i int) {
-	g.pin[i] |= pinPad | pinNear
-	g.pin[i-1] |= pinNear
-	g.pin[i+1] |= pinNear
-	g.pin[i-g.stride] |= pinNear
-	g.pin[i+g.stride] |= pinNear
+	for _, c := range [2]int{i, i + g.layer} {
+		g.pin[c] |= pinPad | pinNear
+		g.pin[c-1] |= pinNear
+		g.pin[c+1] |= pinNear
+		g.pin[c-g.stride] |= pinNear
+		g.pin[c+g.stride] |= pinNear
+	}
 }
 
 // Owner returns the occupant of a cell as a string; out-of-bounds and
@@ -220,7 +228,11 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 	fab := freshGrid(d, opts, netPins)
 	sc := newSearchScratch(len(fab.own), searches)
 	// The first pass has no attempt to beat, so it routes every net.
-	best := routeAll(fab, sc, nets, netPins, opts, len(nets))
+	best := routeAll(fab, nil, sc, nets, netPins, opts, len(nets))
+	// spare is the grid of the attempt that lost last. Nothing reads a
+	// losing attempt, so the next pass copies the fabric into its slab, and
+	// a Route holds at most two slabs besides the fabric's.
+	var spare *Grid
 
 	// Rip-up and retry: route a fresh copy of the fabric with the failed
 	// nets promoted to the front of the order (they get virgin fabric), up
@@ -238,9 +250,11 @@ func Route(d *phys.Design, opts Options) (*Result, error) {
 			// packings once the failed set stabilizes.
 			order = rotateTail(order, len(best.Failed), pass)
 		}
-		if attempt := routeAll(fab, sc, order, netPins, opts, len(best.Failed)); len(attempt.Failed) < len(best.Failed) {
-			best = attempt
+		attempt := routeAll(fab, spare, sc, order, netPins, opts, len(best.Failed))
+		if len(attempt.Failed) < len(best.Failed) {
+			best, attempt = attempt, best
 		}
+		spare = attempt.grid
 	}
 	recordRouteMetrics(opts.Metrics, best, len(nets), pass)
 	return best, nil
@@ -368,10 +382,11 @@ func normRule(r Rule) Rule {
 	return r
 }
 
-// routeAll routes the nets in order on a copy of the fabric, booking
-// failures, and stops at the maxFailed-th failed net.
-func routeAll(fab *Grid, sc *searchScratch, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) *Result {
-	g := fab.clone()
+// routeAll routes the nets in order on a copy of the fabric, made in
+// spare's slab when spare is non-nil, booking failures, and stops at the
+// maxFailed-th failed net.
+func routeAll(fab, spare *Grid, sc *searchScratch, order []string, netPins map[string][]geom.Point, opts Options, maxFailed int) *Result {
+	g := fab.clone(spare)
 	res := &Result{grid: g}
 	for _, net := range order {
 		sig, _ := g.tab.lookup(net)
@@ -584,11 +599,16 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from int32, rule Rule) (int32, e
 	if g.plainBFS {
 		viaCost, pinAdjCost = 1, 0
 	}
+	// cost[move][near] is the price of one step: move 2 is the via, and
+	// near is 1 when the step enters a cell beside a pin that is not
+	// already the net's.
+	cost := [3][2]int{{1, 1 + pinAdjCost}, {1, 1 + pinAdjCost}, {viaCost, viaCost + pinAdjCost}}
 	// Without a width or spacing window, usable only re-reads the cell the
 	// owner test below has just accepted, so it is called only when the
 	// rule needs one.
 	window := rule.WidthTracks > 1 || rule.SpacingTracks > 0
 	own, pins := g.own, g.pin
+	pending := sig | kindPending
 	layer, stride := int32(g.layer), int32(g.stride)
 	sc.reset()
 	sc.setDist(from, 0, -1)
@@ -611,31 +631,26 @@ func bfs(g *Grid, sc *searchScratch, sig int32, from int32, rule Rule) (int32, e
 			if ci >= layer {
 				along, via = stride, -layer
 			}
+			// Each neighbour's tests run cheapest first: the owner, the
+			// step's cost, whether a step as cheap has reached it, and only
+			// then usable's windows. Every test only reads, so the order
+			// decides no neighbour differently (DESIGN.md §5c).
 			for t, ni := range [3]int32{ci - along, ci + along, ci + via} {
 				owner := own[ni]
-				// The frame reads as blocked, so an accepted owner means
-				// ni is a die cell.
-				if owner != sig {
-					if owner != cellEmpty && !ownCell(owner, sig) {
-						continue
-					}
-					if window && !usable(g, sig, int(ni), rule) {
-						continue
-					}
+				// Free, the net's own wire, or its own pending pin; the
+				// frame reads as blocked, so ni is a die cell.
+				if owner != sig && owner != cellEmpty && owner != pending {
+					continue
 				}
-				step := 1
-				if t == 2 {
-					step = viaCost
+				near := pins[ni] & pinNear
+				if owner == sig {
+					near = 0
 				}
-				pi := ni
-				if pi >= layer {
-					pi -= layer
-				}
-				if owner != sig && pins[pi]&pinNear != 0 {
-					step += pinAdjCost
-				}
-				nd := d + step
+				nd := d + cost[t][near]
 				if sc.reached(ni, nd) {
+					continue
+				}
+				if window && owner != sig && !usable(g, sig, int(ni), rule) {
 					continue
 				}
 				sc.setDist(ni, nd, ci)

@@ -245,7 +245,8 @@ func TestGridBounds(t *testing.T) {
 // TestPinAdjacencyAtBorders: the pin-adjacency flag reservePins stores
 // per cell must agree with the reference router's five-probe refNearPin
 // on every cell, for pins on each corner, on each edge and outside the
-// die. The random designs of the equivalence suite rarely put pins on the
+// die, and layer 1 must carry the same flags as layer 0, frame included.
+// The random designs of the equivalence suite rarely put pins on the
 // border.
 func TestPinAdjacencyAtBorders(t *testing.T) {
 	die := geom.R(0, 0, 100, 60) // 11×7 cells at pitch 10
@@ -290,6 +291,9 @@ func TestPinAdjacencyAtBorders(t *testing.T) {
 					// The padded layer covers the frame, x = -1..w and y = -1..h.
 					if got, want := g.isPad(g.index(0, x, y)), ref.isPin(x, y); got != want {
 						t.Errorf("isPad at (%d,%d) = %v, want %v", x, y, got, want)
+					}
+					if l0, l1 := g.pin[g.index(0, x, y)], g.pin[g.index(1, x, y)]; l1 != l0 {
+						t.Errorf("pin flags at (%d,%d) = %02b on layer 1, %02b on layer 0", x, y, l1, l0)
 					}
 					if x < 0 || y < 0 || x >= w || y >= h {
 						continue
@@ -336,6 +340,7 @@ func TestWindowsMatchReference(t *testing.T) {
 				}
 				if rng.Intn(5) == 0 {
 					g.pin[g.index(0, x, y)] |= pinPad
+					g.pin[g.index(1, x, y)] |= pinPad
 					ref.pin[y*ref.W+x] = true
 				}
 			}
